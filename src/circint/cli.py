@@ -21,7 +21,8 @@ from . import limits
 from .cyclotomic import eigenvalue, reduce_coefficients
 from .errors import CircError, InvalidSet, LimitExceeded, TooManyOrbits
 from .fields import parse_field
-from .integrality import CirculantSpec, count_integral, enumerate_integral, is_integral, verdict_to_json
+from .integrality import (CirculantSpec, IntegralityVerdict, count_integral, enumerate_integral, is_integral,
+                          verdict_to_json)
 from .oracle import numeric_spectrum
 from .orbits import orbit_partition
 from .verify import cross_verify, lattice_cross_verify, lemma1_check
@@ -127,12 +128,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise CircError(f"--limit must be non-negative, got {args.limit}")
     ml = _modulus_limit()
     field = parse_field(args.field, modulus_limit=ml)
+    sets = enumerate_integral(args.n, field, limit=args.limit, budget=_enum_budget(), modulus_limit=ml)
     emitted = 0
-    for spec in enumerate_integral(args.n, field, limit=args.limit,
-                                   budget=_enum_budget(), modulus_limit=ml):
-        print(_dumps(verdict_to_json(spec, field, is_integral(spec, field, modulus_limit=ml))))
+    for spec in sets:
+        # the k-th set is mask k of the binary counter over block indices
+        covered = tuple(i for i in range(emitted.bit_length()) if emitted >> i & 1)
+        print(_dumps(verdict_to_json(spec, field, IntegralityVerdict(True, block_indices=covered))))
         emitted += 1
     print(_dumps({"count": emitted, "total": count_integral(args.n, field, modulus_limit=ml)}))
     return EXIT_OK

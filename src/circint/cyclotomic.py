@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 from . import limits
 from .errors import DegenerateOrder, NotAUnit, OrderMismatch, OutOfRange
@@ -65,41 +66,53 @@ class CyclotomicInteger:
         return CyclotomicInteger(self.order, tuple(-c for c in self.coefficients))
 
 
-def _poly_div_exact(num: list[int], den) -> list[int]:
-    """Quotient of two integer polynomials, asserting exact division."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        t, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        quot[i - dn] = t
-        for j in range(dn + 1):
-            num[i - dn + j] -= t * den[j]
-    if any(num[:dn]):
-        raise ArithmeticError("nonzero remainder in exact division")
-    return quot
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, _cyclotomic(d))
+    if n == 1:
+        return (-1, 1)
+    primes = _prime_factors(n)
+    rad = prod(primes)
+    deg = prod(p - 1 for p in primes)
+    # Phi_rad(x) is the product over d | rad of (1 - x^d)^mu(rad/d), a
+    # polynomial of degree phi(rad), so power series truncated past that
+    # degree compute it exactly; factors with d > deg are 1 there.
+    series = [1] + [0] * deg
+    for k in range(len(primes) + 1):
+        for chosen in combinations(primes, k):
+            d = prod(chosen)
+            if d > deg:
+                continue
+            if (len(primes) - k) % 2 == 0:
+                for i in range(deg, d - 1, -1):
+                    series[i] -= series[i - d]
+            else:
+                for i in range(d, deg + 1):
+                    series[i] += series[i - d]
+    step = n // rad
+    poly = [0] * (deg * step + 1)
+    poly[::step] = series
     return tuple(poly)
 
 
 def cyclotomic_polynomial(n: int, *, order_limit: int | None = None) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
-    Built by exact division of x^n - 1 by the cyclotomic polynomials of
-    the proper divisors of n; monic of degree phi(n).
+    Built as Phi_rad(x^(n/rad)), rad the product of the primes dividing n,
+    with Phi_rad a sparse product of binomials (1 - x^d)^mu(rad/d) over the
+    divisors d of rad; monic of degree phi(n).
     """
     if n < 1:
         raise DegenerateOrder(f"cyclotomic polynomial needs n >= 1, got {n}")

@@ -16,39 +16,64 @@ from __future__ import annotations
 import numpy as np
 
 from . import limits
-from .cyclotomic import cyc_equal, eigenvalue, galois_apply
+from .cyclotomic import cyc_equal, eigenvalue
 from .errors import UnsupportedLattice
 from .fields import AbelianField, galois_subgroup_mod
 
 RATIONAL_LATTICE = "rational-integers"
 GAUSSIAN_LATTICE = "gaussian-integers"
 
+# Entries of the frequency-by-member matrix evaluated at once by
+# numeric_spectrum; a chunk of complex128 temporaries stays near 16 MB each.
+NUMERIC_CHUNK_ENTRIES = 1 << 20
+
 
 def oracle_is_integral(spec, field: AbelianField, *, modulus_limit: int | None = None,
                        order_limit: int | None = None) -> bool:
     """True iff every adjacency eigenvalue of D(n, S) is fixed by every
-    element of the field's Galois subgroup at modulus n, decided in exact
-    cyclotomic arithmetic."""
+    element of the field's Galois subgroup H at modulus n, decided in exact
+    cyclotomic arithmetic.
+
+    The automorphism zeta -> zeta^h sends the eigenvalue at frequency r to
+    the eigenvalue at h*r mod n, so the frequencies are walked in H-orbits
+    and each orbit member's eigenvalue is compared with that of the orbit's
+    first frequency. Every eigenvalue is built once; when S is H-stable the
+    compared coefficient vectors coincide and nothing is reduced.
+    """
     n = spec.order
     limits.check_order(n, order_limit)
     fixers = galois_subgroup_mod(field, n, modulus_limit=modulus_limit).elements
+    seen = bytearray(n)
     for r in range(n):
+        if seen[r]:
+            continue
+        seen[r] = 1
         lam = eigenvalue(n, spec.connection_set, r)
-        for a in fixers:
-            if a == 1:
-                continue
-            if not cyc_equal(galois_apply(a, lam), lam):
-                return False
+        for h in fixers:
+            m = h * r % n
+            if not seen[m]:
+                seen[m] = 1
+                if not cyc_equal(eigenvalue(n, spec.connection_set, m), lam):
+                    return False
     return True
 
 
 def numeric_spectrum(spec) -> list[complex]:
     """Floating-point eigenvalues: the DFT of the connection-set indicator,
-    with the eigenvalue at frequency r in position r."""
+    with the eigenvalue at frequency r in position r.
+
+    Frequencies are evaluated in row chunks of at most NUMERIC_CHUNK_ENTRIES
+    matrix entries, so memory stays bounded; each row is summed on its own,
+    so the values do not depend on the chunking.
+    """
     n = spec.order
     rs = np.arange(n).reshape(-1, 1)
     ss = np.array(spec.connection_set, dtype=float).reshape(1, -1)
-    return np.exp(2j * np.pi * rs * ss / n).sum(axis=1).tolist()
+    rows = max(1, NUMERIC_CHUNK_ENTRIES // max(1, ss.size))
+    out: list[complex] = []
+    for lo in range(0, n, rows):
+        out.extend(np.exp(2j * np.pi * rs[lo:lo + rows] * ss / n).sum(axis=1).tolist())
+    return out
 
 
 def numeric_lattice_check(spec, lattice: str, tol: float) -> bool:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from circint import enumerate_integral, is_integral, parse_field, verdict_to_json
 from circint.cli import main
 
 
@@ -110,6 +111,24 @@ def test_enumerate_limit(capsys):
     assert len(lines) == 6
     assert json.loads(lines[-1]) == {"count": 5, "total": 32}
     assert json.loads(lines[4])["S"] == [2]
+
+
+def test_enumerate_rejects_negative_limit(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "6", "--field", "Q", "--limit", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--limit" in err
+
+
+@pytest.mark.parametrize("n, spec, limit", [(6, "Q", None), (8, "Qi", 0), (30, "sqrt:5", None),
+                                            (12, "cyclo:3", 7), (160, "Qi", 300)])
+def test_enumerate_matches_per_set_decision(capsys, n, spec, limit):
+    field = parse_field(spec)
+    expected = [json.dumps(verdict_to_json(s, field, is_integral(s, field)), separators=(",", ":"))
+                for s in enumerate_integral(n, field, limit=limit)]
+    argv = ["enumerate", str(n), "--field", spec] + ([] if limit is None else ["--limit", str(limit)])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[:-1] == expected
 
 
 def test_enumerate_budget_env(capsys, monkeypatch):

@@ -1,24 +1,68 @@
 import cmath
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import circint.cyclotomic
 import circint.oracle
 from circint import (
     GAUSSIAN_LATTICE,
     RATIONAL_LATTICE,
     CirculantSpec,
     UnsupportedLattice,
+    cyc_equal,
     eigenvalue,
     field_cyclotomic,
     field_gaussian,
     field_quadratic,
     field_rationals,
+    galois_apply,
+    galois_subgroup_mod,
     numeric_lattice_check,
     numeric_spectrum,
     oracle_is_integral,
+    orbit_partition,
+    parse_field,
 )
+
+ORACLE_FIELDS = ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7", "sqrt:-5",
+                 "cyclo:3", "cyclo:5", "cyclo:8", "cyclo:12", "custom:13:5", "custom:20:9"]
+
+
+def reference_oracle(spec, field):
+    """Every eigenvalue against its image under every element of H."""
+    n = spec.order
+    fixers = galois_subgroup_mod(field, n).elements
+    for r in range(n):
+        lam = eigenvalue(n, spec.connection_set, r)
+        for a in fixers:
+            if a != 1 and not cyc_equal(galois_apply(a, lam), lam):
+                return False
+    return True
+
+
+def seeded_sets(n, field, rng, per_kind=2):
+    """Unions of blocks, one-element perturbations of them, random subsets."""
+    blocks = [b.members for b in orbit_partition(n, field).blocks]
+    unions = [sorted(x for ms in blocks if rng.random() < 0.5 for x in ms) for _ in range(per_kind)]
+    perturbed = [sorted(set(ms) ^ {rng.randrange(1, n)}) for ms in unions]
+    subsets = [[x for x in range(1, n) if rng.random() < 0.5] for _ in range(per_kind)]
+    return unions, perturbed, subsets
+
+
+class ReduceCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = circint.cyclotomic._reduce
+
+        def counted(n, coeffs):
+            self.calls += 1
+            return original(n, coeffs)
+
+        monkeypatch.setattr(circint.cyclotomic, "_reduce", counted)
 
 
 def eval_exact_at_unit_circle(n, members, r):
@@ -43,6 +87,51 @@ def test_oracle_knows_quadratic_fields():
     assert oracle_is_integral(spec, field_quadratic(2))
     assert not oracle_is_integral(spec, field_gaussian())
     assert oracle_is_integral(spec, field_cyclotomic(8))
+
+
+def test_orbit_walk_matches_reference_oracle():
+    rng = random.Random(20120104)
+    cases = integral = 0
+    for spec_text in ORACLE_FIELDS:
+        field = parse_field(spec_text)
+        for n in range(2, 70):
+            for kind in seeded_sets(n, field, rng):
+                for members in kind:
+                    spec = CirculantSpec.of(n, members)
+                    expected = reference_oracle(spec, field)
+                    assert oracle_is_integral(spec, field) == expected, (spec_text, n, members)
+                    cases += 1
+                    integral += expected
+    assert cases == 13 * 68 * 6
+    assert cases > integral > cases // 4
+
+
+def test_oracle_reduces_nothing_on_block_unions(monkeypatch):
+    counter = ReduceCounter(monkeypatch)
+    rng = random.Random(7)
+    for spec_text in ("Q", "Qi", "sqrt:-7", "cyclo:12"):
+        field = parse_field(spec_text)
+        for n in (12, 35, 64, 97, 120):
+            unions, _, _ = seeded_sets(n, field, rng)
+            for members in unions:
+                assert oracle_is_integral(CirculantSpec.of(n, members), field)
+    assert counter.calls == 0
+
+
+def test_oracle_reduces_at_most_once_per_eigenvalue(monkeypatch):
+    rng = random.Random(11)
+    for spec_text in ("Q", "Qi", "sqrt:5", "cyclo:8"):
+        field = parse_field(spec_text)
+        for n in (12, 35, 64, 97, 120):
+            for kind in seeded_sets(n, field, rng):
+                for members in kind:
+                    counter = ReduceCounter(monkeypatch)
+                    oracle_is_integral(CirculantSpec.of(n, members), field)
+                    assert counter.calls <= n
+    # the first comparison, zeta^3 against zeta, already fails
+    counter = ReduceCounter(monkeypatch)
+    assert not oracle_is_integral(CirculantSpec.of(64, [1]), field_rationals())
+    assert counter.calls == 1
 
 
 def test_oracle_path_has_no_block_machinery():
@@ -75,6 +164,22 @@ def test_numeric_spectrum_matches_exact_evaluation():
         values = numeric_spectrum(CirculantSpec.of(n, members))
         for r in range(n):
             assert abs(values[r] - eval_exact_at_unit_circle(n, members, r)) < 1e-9
+
+
+def test_numeric_spectrum_chunks_are_bitwise_unchunked(monkeypatch):
+    def unchunked(spec):
+        n = spec.order
+        rs = np.arange(n).reshape(-1, 1)
+        ss = np.array(spec.connection_set, dtype=float).reshape(1, -1)
+        return np.exp(2j * np.pi * rs * ss / n).sum(axis=1).tolist()
+
+    rng = random.Random(3)
+    specs = [CirculantSpec.of(n, rng.sample(range(1, n), k))
+             for n, k in ((2, 1), (7, 0), (50, 3), (97, 40), (300, 299), (1000, 333))]
+    for entries in (1, 5, 64, 1000):
+        monkeypatch.setattr(circint.oracle, "NUMERIC_CHUNK_ENTRIES", entries)
+        for spec in specs:
+            assert numeric_spectrum(spec) == unchunked(spec)
 
 
 def test_lattice_check_examples():
