@@ -58,7 +58,7 @@ from .oracle import (
     numeric_spectrum,
     oracle_is_integral,
 )
-from .orbits import OrbitBlock, OrbitPartition, locate, orbit_partition, r_count
+from .orbits import OrbitBlock, OrbitPartition, orbit_partition, r_count
 from .residues import (
     UnitSubgroup,
     euler_phi,
@@ -114,7 +114,6 @@ __all__ = [
     "kronecker_symbol",
     "lattice_cross_verify",
     "lemma1_check",
-    "locate",
     "numeric_lattice_check",
     "numeric_spectrum",
     "oracle_is_integral",

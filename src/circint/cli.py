@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import limits
@@ -45,14 +46,6 @@ def _sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _modulus_limit() -> int | None:
-    return limits.env_limit(limits.ENV_MODULUS)
-
-
-def _enum_budget() -> int | None:
-    return limits.env_limit(limits.ENV_ENUM)
-
-
 def _parse_members(text: str) -> list[int]:
     try:
         return sorted({int(x) for x in text.split(",") if x.strip() != ""})
@@ -60,12 +53,12 @@ def _parse_members(text: str) -> list[int]:
         raise InvalidSet(f"bad set spec {text!r}: expected a comma list of residues") from None
 
 
-def _parse_set_spec(text: str, n: int, field, modulus_limit: int | None) -> list[int]:
+def _parse_set_spec(text: str, n: int, field) -> list[int]:
     t = text.strip()
     if t.startswith("blocks:"):
         if field is None:
             raise InvalidSet("blocks: selector needs a field; use the check command")
-        part = orbit_partition(n, field, modulus_limit=modulus_limit)
+        part = orbit_partition(n, field)
         try:
             idxs = sorted({int(x) for x in t[7:].split(",") if x.strip() != ""})
         except ValueError:
@@ -93,9 +86,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_partition(args) -> int:
-    ml = _modulus_limit()
-    field = parse_field(args.field, modulus_limit=ml)
-    part = orbit_partition(args.n, field, modulus_limit=ml)
+    field = parse_field(args.field)
+    part = orbit_partition(args.n, field)
     if args.format == "table":
         print(f"n={part.order}\tfield={field.describe()}\tblocks={len(part.blocks)}")
         print("index\tp\tmembers")
@@ -107,11 +99,10 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    ml = _modulus_limit()
-    field = parse_field(args.field, modulus_limit=ml)
-    members = _parse_set_spec(args.set, args.n, field, ml)
+    field = parse_field(args.field)
+    members = _parse_set_spec(args.set, args.n, field)
     spec = CirculantSpec.of(args.n, members)
-    verdict = is_integral(spec, field, modulus_limit=ml)
+    verdict = is_integral(spec, field)
     if args.format == "table":
         print(f"n={spec.order}\tfield={field.describe()}\tS={','.join(map(str, spec.connection_set))}")
         if verdict.integral:
@@ -130,21 +121,20 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise CircError(f"--limit must be non-negative, got {args.limit}")
-    ml = _modulus_limit()
-    field = parse_field(args.field, modulus_limit=ml)
-    sets = enumerate_integral(args.n, field, limit=args.limit, budget=_enum_budget(), modulus_limit=ml)
+    field = parse_field(args.field)
+    sets = enumerate_integral(args.n, field, limit=args.limit)
     emitted = 0
     for spec in sets:
         # the k-th set is mask k of the binary counter over block indices
         covered = tuple(i for i in range(emitted.bit_length()) if emitted >> i & 1)
         print(_dumps(verdict_to_json(spec, field, IntegralityVerdict(True, block_indices=covered))))
         emitted += 1
-    print(_dumps({"count": emitted, "total": count_integral(args.n, field, modulus_limit=ml)}))
+    print(_dumps({"count": emitted, "total": count_integral(args.n, field)}))
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
-    members = _parse_set_spec(args.set, args.n, None, _modulus_limit())
+    members = _parse_set_spec(args.set, args.n, None)
     spec = CirculantSpec.of(args.n, members)
     n = spec.order
     if args.exact:
@@ -159,20 +149,20 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ml = _modulus_limit()
-    field = parse_field(args.field, modulus_limit=ml)
+    field = parse_field(args.field)
     lo, hi = _parse_range(args.range)
     samples = None if args.exhaustive else args.samples
     if samples is not None and samples < 1:
         raise CircError(f"--samples must be positive, got {samples}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise CircError(f"--tol must be finite and positive, got {args.tol}")
     all_passed = True
     for n in range(lo, hi + 1):
-        reports = [cross_verify(n, field, samples=samples, seed=args.seed, modulus_limit=ml)]
+        reports = [cross_verify(n, field, samples=samples, seed=args.seed)]
         if args.lemma1:
-            reports.append(lemma1_check(n, field, modulus_limit=ml))
+            reports.append(lemma1_check(n, field))
         if args.numeric:
-            reports.append(lattice_cross_verify(n, field, args.tol, samples=samples,
-                                                seed=args.seed, modulus_limit=ml))
+            reports.append(lattice_cross_verify(n, field, args.tol, samples=samples, seed=args.seed))
         for rep in reports:
             print(_dumps(rep.to_json(include_elapsed=False)))
             print(f"# n={rep.n} mode={rep.mode} cases={rep.cases_checked} "

@@ -107,7 +107,7 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def cyclotomic_polynomial(n: int, *, order_limit: int | None = None) -> tuple[int, ...]:
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
     Built as Phi_rad(x^(n/rad)), rad the product of the primes dividing n,
@@ -116,7 +116,7 @@ def cyclotomic_polynomial(n: int, *, order_limit: int | None = None) -> tuple[in
     """
     if n < 1:
         raise DegenerateOrder(f"cyclotomic polynomial needs n >= 1, got {n}")
-    limits.check_order(n, order_limit)
+    limits.check_order(n)
     return _cyclotomic(n)
 
 

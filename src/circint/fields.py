@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from . import limits
 from .errors import BothZero, DegenerateInput, DegenerateOrder, FieldSpecError, NotSquarefree
@@ -56,10 +56,10 @@ def field_gaussian() -> AbelianField:
     return AbelianField(4, UnitSubgroup(4, (1,)), label="Qi")
 
 
-def field_cyclotomic(m: int, *, modulus_limit: int | None = None) -> AbelianField:
+def field_cyclotomic(m: int) -> AbelianField:
     if m < 1:
         raise DegenerateOrder(f"cyclotomic field needs m >= 1, got {m}")
-    limits.check_modulus(m, modulus_limit)
+    limits.check_modulus(m)
     if m == 1:
         return AbelianField(1, UnitSubgroup(1, (0,)), label="cyclo:1")
     return AbelianField(m, UnitSubgroup(m, (1,)), label=f"cyclo:{m}")
@@ -77,20 +77,21 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
-def field_quadratic(d: int, *, modulus_limit: int | None = None) -> AbelianField:
+def field_quadratic(d: int) -> AbelianField:
     """The quadratic field generated by a square root of d.
 
     The conductor is |disc| with disc = d for d = 1 mod 4 and 4d otherwise;
     the fixing subgroup is the kernel of the discriminant's Kronecker
-    character on the units modulo the conductor.
+    character on the units modulo the conductor. The conductor bound is
+    checked before the squarefree test, which is trial division.
     """
     if d in (0, 1):
         raise DegenerateInput(f"no quadratic field for d = {d}")
-    if not _is_squarefree(d):
-        raise NotSquarefree(f"{d} has a square factor")
     disc = d if d % 4 == 1 else 4 * d
     m = abs(disc)
-    limits.check_modulus(m, modulus_limit)
+    limits.check_modulus(m)
+    if not _is_squarefree(d):
+        raise NotSquarefree(f"{d} has a square factor")
     members = tuple(a for a in units_mod(m).elements if kronecker_symbol(disc, a) == 1)
     k = AbelianField(m, UnitSubgroup(m, members), label=f"sqrt:{d}")
     assert k.degree == 2
@@ -130,32 +131,32 @@ def kronecker_symbol(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
-def galois_subgroup_mod(field: AbelianField, g: int, *, modulus_limit: int | None = None) -> UnitSubgroup:
+def galois_subgroup_mod(field: AbelianField, g: int) -> UnitSubgroup:
     """Subgroup of the units mod g fixing the intersection of the field
     with the g-th cyclotomic field.
 
-    Computed as the mod-g image of the units a modulo L = lcm(conductor, g)
-    whose reduction mod the conductor lies in the fixing subgroup. The
-    index of the result in the full unit group mod g is the degree of the
-    intersection field over the rationals.
+    That intersection lies in the d-th cyclotomic field, d = gcd(conductor,
+    g), so by the Chinese remainder theorem the result is every unit b mod
+    g whose residue mod d is the residue of some element of the fixing
+    subgroup. The index of the result in the full unit group mod g is the
+    degree of the intersection field over the rationals.
     """
     if g < 1:
         raise DegenerateOrder(f"galois_subgroup_mod needs g >= 1, got {g}")
-    bound = limits.MODULUS_LIMIT if modulus_limit is None else modulus_limit
-    return _galois_subgroup_cached(field, g, bound)
+    limits.check_modulus(g)
+    return _galois_subgroup_cached(field, g)
 
 
 @lru_cache(maxsize=None)
-def _galois_subgroup_cached(field: AbelianField, g: int, bound: int) -> UnitSubgroup:
-    m = field.conductor
-    big = lcm(m, g)
-    limits.check_modulus(big, bound)
-    member = field.fixing_subgroup._member_set
-    image = sorted({a % g for a in range(1, big + 1) if gcd(a, big) == 1 and (a % m) in member})
-    return UnitSubgroup(g, tuple(image))
+def _galois_subgroup_cached(field: AbelianField, g: int) -> UnitSubgroup:
+    if g == 1:
+        return UnitSubgroup(1, (0,))
+    d = gcd(field.conductor, g)
+    allowed = {h % d for h in field.fixing_subgroup.elements}
+    return UnitSubgroup(g, tuple(b for b in range(1, g) if b % d in allowed and gcd(b, g) == 1))
 
 
-def parse_field(text: str, *, modulus_limit: int | None = None) -> AbelianField:
+def parse_field(text: str) -> AbelianField:
     """Parse the field mini-language.
 
     Accepted forms: ``Q``, ``Qi``, ``sqrt:<d>``, ``cyclo:<m>``, and
@@ -170,12 +171,12 @@ def parse_field(text: str, *, modulus_limit: int | None = None) -> AbelianField:
     if t == "Qi":
         return field_gaussian()
     if t.startswith("sqrt:"):
-        return field_quadratic(_spec_int(t[5:], t), modulus_limit=modulus_limit)
+        return field_quadratic(_spec_int(t[5:], t))
     if t.startswith("cyclo:"):
         m = _spec_int(t[6:], t)
         if m < 1:
             raise FieldSpecError(f"cyclotomic order must be positive in {text!r}")
-        return field_cyclotomic(m, modulus_limit=modulus_limit)
+        return field_cyclotomic(m)
     if t.startswith("custom:"):
         parts = t.split(":")
         if len(parts) != 3:
@@ -184,7 +185,7 @@ def parse_field(text: str, *, modulus_limit: int | None = None) -> AbelianField:
         if m < 1:
             raise FieldSpecError(f"modulus must be positive in {text!r}")
         gens = [_spec_int(x, t) for x in parts[2].split(",") if x.strip() != ""]
-        subgroup = subgroup_closure(m, gens, modulus_limit=modulus_limit)
+        subgroup = subgroup_closure(m, gens)
         return AbelianField(m, subgroup, label=t)
     raise FieldSpecError(f"unrecognized field spec {text!r}")
 

@@ -75,26 +75,25 @@ def _classify(partition: OrbitPartition, members: frozenset[int]) -> Integrality
     return IntegralityVerdict(True, block_indices=tuple(covered))
 
 
-def is_integral(spec: CirculantSpec, field: AbelianField, *, modulus_limit: int | None = None) -> IntegralityVerdict:
+def is_integral(spec: CirculantSpec, field: AbelianField) -> IntegralityVerdict:
     """Decide integrality over the field: the connection set must be a
     union of whole orbit blocks. The verdict carries either the covered
     block indices or the first partially covered block as witness."""
-    part = orbit_partition(spec.order, field, modulus_limit=modulus_limit)
+    part = orbit_partition(spec.order, field)
     return _classify(part, frozenset(spec.connection_set))
 
 
-def is_gauss_integral(spec: CirculantSpec, *, modulus_limit: int | None = None) -> IntegralityVerdict:
+def is_gauss_integral(spec: CirculantSpec) -> IntegralityVerdict:
     """Integrality over the Gaussian rationals (eigenvalues in Z[i])."""
-    return is_integral(spec, field_gaussian(), modulus_limit=modulus_limit)
+    return is_integral(spec, field_gaussian())
 
 
-def count_integral(n: int, field: AbelianField, *, modulus_limit: int | None = None) -> int:
+def count_integral(n: int, field: AbelianField) -> int:
     """Exact number of integral connection sets: 2 to the block count."""
-    return 1 << r_count(n, field, modulus_limit=modulus_limit)
+    return 1 << r_count(n, field)
 
 
-def enumerate_integral(n: int, field: AbelianField, limit: int | None = None, *,
-                       budget: int | None = None, modulus_limit: int | None = None):
+def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
     """Stream every integral connection set exactly once.
 
     Order is the binary counter over canonical block indices (bit i covers
@@ -102,10 +101,10 @@ def enumerate_integral(n: int, field: AbelianField, limit: int | None = None, *,
     Without an explicit ``limit`` the full count must fit the enumeration
     budget.
     """
-    part = orbit_partition(n, field, modulus_limit=modulus_limit)
+    part = orbit_partition(n, field)
     r = len(part.blocks)
     total = 1 << r
-    cap = limits.ENUM_BUDGET if budget is None else budget
+    cap = limits.enum_budget()
     if limit is None and total > cap:
         raise TooManyOrbits(f"2^{r} = {total} sets exceeds budget {cap}; pass a limit")
 

@@ -1,7 +1,10 @@
 """Resource guards.
 
 Desk-scale inputs are the design point; anything larger is refused loudly
-with LimitExceeded instead of grinding or overflowing silently.
+with LimitExceeded instead of grinding or overflowing silently. Bounds are
+resolved here, at call time, from the defaults below or the environment
+overrides, and are checked only on quantities a caller supplies: an order
+n, a field's conductor, a modulus g.
 """
 
 from __future__ import annotations
@@ -19,19 +22,23 @@ ENV_MODULUS = "CIRC_LIMIT_MODULUS"
 ENV_ENUM = "CIRC_LIMIT_ENUM"
 
 
-def check_modulus(n: int, limit: int | None = None) -> None:
-    bound = MODULUS_LIMIT if limit is None else limit
+def check_modulus(n: int) -> None:
+    bound = _env_limit(ENV_MODULUS) or MODULUS_LIMIT
     if n > bound:
         raise LimitExceeded(f"modulus {n} exceeds limit {bound}")
 
 
-def check_order(n: int, limit: int | None = None) -> None:
-    bound = EXACT_ORDER_LIMIT if limit is None else limit
-    if n > bound:
-        raise LimitExceeded(f"order {n} exceeds exact-arithmetic limit {bound}")
+def check_order(n: int) -> None:
+    if n > EXACT_ORDER_LIMIT:
+        raise LimitExceeded(f"order {n} exceeds exact-arithmetic limit {EXACT_ORDER_LIMIT}")
 
 
-def env_limit(name: str) -> int | None:
+def enum_budget() -> int:
+    """Most integral sets enumerate_integral streams without a limit."""
+    return _env_limit(ENV_ENUM) or ENUM_BUDGET
+
+
+def _env_limit(name: str) -> int | None:
     """Read an integer override from the environment; None when unset."""
     raw = os.environ.get(name)
     if raw is None or raw == "":

@@ -28,8 +28,7 @@ GAUSSIAN_LATTICE = "gaussian-integers"
 NUMERIC_CHUNK_ENTRIES = 1 << 20
 
 
-def oracle_is_integral(spec, field: AbelianField, *, modulus_limit: int | None = None,
-                       order_limit: int | None = None) -> bool:
+def oracle_is_integral(spec, field: AbelianField) -> bool:
     """True iff every adjacency eigenvalue of D(n, S) is fixed by every
     element of the field's Galois subgroup H at modulus n, decided in exact
     cyclotomic arithmetic.
@@ -41,8 +40,8 @@ def oracle_is_integral(spec, field: AbelianField, *, modulus_limit: int | None =
     compared coefficient vectors coincide and nothing is reduced.
     """
     n = spec.order
-    limits.check_order(n, order_limit)
-    fixers = galois_subgroup_mod(field, n, modulus_limit=modulus_limit).elements
+    limits.check_order(n)
+    fixers = galois_subgroup_mod(field, n).elements
     seen = bytearray(n)
     for r in range(n):
         if seen[r]:
@@ -83,8 +82,8 @@ def numeric_lattice_check(spec, lattice: str, tol: float) -> bool:
     Only the rational integers and the Gaussian integers are supported;
     membership in a general field has no simple floating-point test.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if lattice == RATIONAL_LATTICE:
         snap_imag = False
     elif lattice == GAUSSIAN_LATTICE:

@@ -53,7 +53,7 @@ class OrbitPartition:
             "blocks": [{"p": b.divisor, "members": list(b.members)} for b in self.blocks],
         }
 
-    def validate(self, *, modulus_limit: int | None = None) -> None:
+    def validate(self) -> None:
         """Re-derive every structural property; raises on any failure."""
         n = self.order
         seen = set()
@@ -75,7 +75,7 @@ class OrbitPartition:
             counts[b.divisor] = counts.get(b.divisor, 0) + 1
         for p, found in sizes.items():
             g = n // p
-            h = len(galois_subgroup_mod(self.field, g, modulus_limit=modulus_limit))
+            h = len(galois_subgroup_mod(self.field, g))
             if found != {h}:
                 raise ValueError(f"blocks over divisor {p} have sizes {found}, expected {h}")
             if counts[p] != euler_phi(g) // h:
@@ -85,7 +85,7 @@ class OrbitPartition:
             raise ValueError("blocks out of canonical order")
 
 
-def orbit_partition(n: int, field: AbelianField, *, modulus_limit: int | None = None) -> OrbitPartition:
+def orbit_partition(n: int, field: AbelianField) -> OrbitPartition:
     """Build the orbit partition of {1, ..., n-1} for (n, field).
 
     The single-vertex loopless digraph (n = 1) is integral over every
@@ -93,16 +93,16 @@ def orbit_partition(n: int, field: AbelianField, *, modulus_limit: int | None = 
     """
     if n < 2:
         raise DegenerateOrder(f"orbit partition needs n >= 2, got {n}")
-    bound = limits.MODULUS_LIMIT if modulus_limit is None else modulus_limit
-    return _partition_cached(n, field, bound)
+    limits.check_modulus(n)
+    return _partition_cached(n, field)
 
 
 @lru_cache(maxsize=None)
-def _partition_cached(n: int, field: AbelianField, bound: int) -> OrbitPartition:
+def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
     blocks = []
-    for p in proper_divisors(n, modulus_limit=bound):
+    for p in proper_divisors(n):
         g = n // p
-        acts = galois_subgroup_mod(field, g, modulus_limit=bound).elements
+        acts = galois_subgroup_mod(field, g).elements
         seen: set[int] = set()
         p_blocks = []
         for x in range(1, g):
@@ -115,24 +115,20 @@ def _partition_cached(n: int, field: AbelianField, bound: int) -> OrbitPartition
         p_blocks.sort(key=lambda ms: ms[0])
         blocks.extend(OrbitBlock(p, ms) for ms in p_blocks)
     part = OrbitPartition(n, field, tuple(blocks))
-    part.validate(modulus_limit=bound)
+    part.validate()
     return part
 
 
-def r_count(n: int, field: AbelianField, *, modulus_limit: int | None = None) -> int:
+def r_count(n: int, field: AbelianField) -> int:
     """Total number of blocks: the sum over proper divisors p of
     phi(n/p) divided by the order of the Galois subgroup at n/p."""
     if n < 2:
         raise DegenerateOrder(f"r_count needs n >= 2, got {n}")
     total = 0
-    for p in proper_divisors(n, modulus_limit=modulus_limit):
+    for p in proper_divisors(n):
         g = n // p
-        h = len(galois_subgroup_mod(field, g, modulus_limit=modulus_limit))
+        h = len(galois_subgroup_mod(field, g))
         q, rem = divmod(euler_phi(g), h)
         assert rem == 0
         total += q
     return total
-
-
-def locate(partition: OrbitPartition, x: int) -> int:
-    return partition.locate(x)

@@ -67,11 +67,11 @@ class UnitSubgroup:
                     raise ValueError(f"not closed: {a}*{b} mod {g} escapes")
 
 
-def euler_phi(n: int, *, modulus_limit: int | None = None) -> int:
+def euler_phi(n: int) -> int:
     """Order of the unit group modulo n; phi(1) = 1."""
     if n < 1:
         raise DegenerateOrder(f"euler_phi needs n >= 1, got {n}")
-    limits.check_modulus(n, modulus_limit)
+    limits.check_modulus(n)
     result, m, p = n, n, 2
     while p * p <= m:
         if m % p == 0:
@@ -84,22 +84,22 @@ def euler_phi(n: int, *, modulus_limit: int | None = None) -> int:
     return result
 
 
-def units_mod(n: int, *, modulus_limit: int | None = None) -> UnitSubgroup:
+def units_mod(n: int) -> UnitSubgroup:
     """The full unit group modulo n."""
     if n < 1:
         raise DegenerateOrder(f"units_mod needs n >= 1, got {n}")
-    limits.check_modulus(n, modulus_limit)
+    limits.check_modulus(n)
     if n == 1:
         return UnitSubgroup(1, (0,))
     return UnitSubgroup(n, tuple(x for x in range(1, n) if gcd(x, n) == 1))
 
 
-def subgroup_closure(n: int, generators, *, modulus_limit: int | None = None) -> UnitSubgroup:
+def subgroup_closure(n: int, generators) -> UnitSubgroup:
     """Smallest multiplicatively closed subset of the units mod n containing
     1 and every generator."""
     if n < 1:
         raise DegenerateOrder(f"subgroup_closure needs n >= 1, got {n}")
-    limits.check_modulus(n, modulus_limit)
+    limits.check_modulus(n)
     if n == 1:
         return UnitSubgroup(1, (0,))
     gens = []
@@ -120,11 +120,11 @@ def subgroup_closure(n: int, generators, *, modulus_limit: int | None = None) ->
     return UnitSubgroup(n, tuple(sorted(members)))
 
 
-def proper_divisors(n: int, *, modulus_limit: int | None = None) -> tuple[int, ...]:
+def proper_divisors(n: int) -> tuple[int, ...]:
     """All divisors p of n with 1 <= p < n, ascending."""
     if n < 2:
         raise DegenerateOrder(f"no proper divisors for n = {n}")
-    limits.check_modulus(n, modulus_limit)
+    limits.check_modulus(n)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -137,11 +137,11 @@ def proper_divisors(n: int, *, modulus_limit: int | None = None) -> tuple[int, .
     return tuple(small + large[::-1])
 
 
-def gcd_class(n: int, p: int, *, modulus_limit: int | None = None) -> tuple[int, ...]:
+def gcd_class(n: int, p: int) -> tuple[int, ...]:
     """Residues x in [1, n) with gcd(x, n) = p, ascending."""
     if n < 2:
         raise DegenerateOrder(f"gcd_class needs n >= 2, got {n}")
-    limits.check_modulus(n, modulus_limit)
+    limits.check_modulus(n)
     if p < 1 or p >= n or n % p != 0:
         raise NotADivisor(f"{p} is not a proper divisor of {n}")
     return tuple(x for x in range(1, n) if gcd(x, n) == p)

@@ -56,13 +56,12 @@ class VerificationReport:
         return out
 
 
-def _subset_masks(n: int, samples: int | None, seed: int, exhaustive_bound: int | None):
+def _subset_masks(n: int, samples: int | None, seed: int):
     if n < 2:
         raise DegenerateOrder(f"verification needs n >= 2, got {n}")
     if samples is None:
-        bound = limits.EXHAUSTIVE_BOUND if exhaustive_bound is None else exhaustive_bound
-        if n > bound:
-            raise LimitExceeded(f"exhaustive sweep needs n <= {bound}, got {n}")
+        if n > limits.EXHAUSTIVE_BOUND:
+            raise LimitExceeded(f"exhaustive sweep needs n <= {limits.EXHAUSTIVE_BOUND}, got {n}")
         return range(1 << (n - 1)), "exhaustive", None
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -74,9 +73,28 @@ def _members(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
 
 
-def cross_verify(n: int, field: AbelianField, *, samples: int | None = None, seed: int = 0,
-                 exhaustive_bound: int | None = None, modulus_limit: int | None = None,
-                 order_limit: int | None = None) -> VerificationReport:
+def _sweep(n: int, field: AbelianField, samples: int | None, seed: int, mode: str | None,
+           decide) -> VerificationReport:
+    """Compare decide(spec) with oracle_is_integral on every subset of the
+    sweep. The report is named ``mode``, or after the sweep itself
+    ("exhaustive" or "sample") when that is None."""
+    start = time.perf_counter()
+    masks, sweep_mode, used_seed = _subset_masks(n, samples, seed)
+    mismatches = []
+    for mask in masks:
+        spec = CirculantSpec(n, _members(mask, n))
+        got = decide(spec)
+        expected = oracle_is_integral(spec, field)
+        if got != expected:
+            mismatches.append({"S": list(spec.connection_set), "expected": expected, "got": got})
+    mismatches.sort(key=lambda m: m["S"])
+    elapsed = int((time.perf_counter() - start) * 1000)
+    return VerificationReport(n, field.describe(), mode or sweep_mode, len(masks), tuple(mismatches),
+                              used_seed, elapsed)
+
+
+def cross_verify(n: int, field: AbelianField, *, samples: int | None = None,
+                 seed: int = 0) -> VerificationReport:
     """Compare is_integral against oracle_is_integral subset by subset.
 
     samples=None sweeps all 2^(n-1) subsets (n capped by the exhaustive
@@ -84,57 +102,28 @@ def cross_verify(n: int, field: AbelianField, *, samples: int | None = None, see
     entries record the subset with the oracle verdict as expected value,
     sorted by subset.
     """
-    start = time.perf_counter()
-    limits.check_order(n, order_limit)
-    masks, mode, used_seed = _subset_masks(n, samples, seed, exhaustive_bound)
-    mismatches = []
-    cases = 0
-    for mask in masks:
-        spec = CirculantSpec(n, _members(mask, n))
-        fast = is_integral(spec, field, modulus_limit=modulus_limit).integral
-        slow = oracle_is_integral(spec, field, modulus_limit=modulus_limit, order_limit=order_limit)
-        if fast != slow:
-            mismatches.append({"S": list(spec.connection_set), "expected": slow, "got": fast})
-        cases += 1
-    mismatches.sort(key=lambda m: m["S"])
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(n, field.describe(), mode, cases, tuple(mismatches), used_seed, elapsed)
+    limits.check_order(n)
+    return _sweep(n, field, samples, seed, None, lambda spec: is_integral(spec, field).integral)
 
 
 def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
-                         samples: int | None = None, seed: int = 0,
-                         exhaustive_bound: int | None = None, modulus_limit: int | None = None,
-                         order_limit: int | None = None) -> VerificationReport:
+                         samples: int | None = None, seed: int = 0) -> VerificationReport:
     """Floating-point sanity sweep: lattice proximity vs the exact oracle.
 
     Supported only for the rationals (rational-integer lattice) and the
     Gaussian rationals (Gaussian-integer lattice); advisory by design.
     """
-    start = time.perf_counter()
-    limits.check_order(n, order_limit)
+    limits.check_order(n)
     if field == field_rationals():
         lattice = RATIONAL_LATTICE
     elif field == field_gaussian():
         lattice = GAUSSIAN_LATTICE
     else:
         raise UnsupportedLattice(f"numeric check supports Q and Qi only, not {field.describe()}")
-    masks, mode, used_seed = _subset_masks(n, samples, seed, exhaustive_bound)
-    mismatches = []
-    cases = 0
-    for mask in masks:
-        spec = CirculantSpec(n, _members(mask, n))
-        approx = numeric_lattice_check(spec, lattice, tol)
-        exact = oracle_is_integral(spec, field, modulus_limit=modulus_limit, order_limit=order_limit)
-        if approx != exact:
-            mismatches.append({"S": list(spec.connection_set), "expected": exact, "got": approx})
-        cases += 1
-    mismatches.sort(key=lambda m: m["S"])
-    elapsed = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(n, field.describe(), "numeric", cases, tuple(mismatches), used_seed, elapsed)
+    return _sweep(n, field, samples, seed, "numeric", lambda spec: numeric_lattice_check(spec, lattice, tol))
 
 
-def lemma1_check(n: int, field: AbelianField, *, modulus_limit: int | None = None,
-                 order_limit: int | None = None) -> VerificationReport:
+def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     """Check the testable block properties in exact arithmetic.
 
     One case per (block, frequency) pair verifies that the block's
@@ -143,9 +132,9 @@ def lemma1_check(n: int, field: AbelianField, *, modulus_limit: int | None = Non
     verifies disjoint supports. Empty blocks are rejected outright.
     """
     start = time.perf_counter()
-    limits.check_order(n, order_limit)
-    part = orbit_partition(n, field, modulus_limit=modulus_limit)
-    fixers = galois_subgroup_mod(field, n, modulus_limit=modulus_limit).elements
+    limits.check_order(n)
+    part = orbit_partition(n, field)
+    fixers = galois_subgroup_mod(field, n).elements
     cases = 0
     mismatches = []
     for bi, block in enumerate(part.blocks):

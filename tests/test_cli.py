@@ -1,6 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circint import enumerate_integral, is_integral, parse_field, verdict_to_json
 from circint.cli import main
@@ -238,3 +245,73 @@ def test_missing_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_orders_bounded_by_n_not_by_conductor_lcm(capsys):
+    code, out, _ = run_cli(capsys, "partition", "30001", "--field", "Qi")
+    assert code == 0 and len(json.loads(out)["blocks"]) == 3
+    code, out, _ = run_cli(capsys, "check", "99991", "--set", "1", "--field", "sqrt:-7")
+    assert code == 1 and json.loads(out)["violation"]["block"] == 0
+    code, out, err = run_cli(capsys, "partition", "100001", "--field", "Q")
+    assert code == 3 and out == "" and "100001" in err
+
+
+def test_huge_radicand_exits_at_once():
+    # the conductor bound is checked before trial division of the radicand
+    spec = "sqrt:-100000000000000000000000000000000000001"
+    run = subprocess.run([sys.executable, "-m", "circint", "partition", "8", "--field", spec],
+                         capture_output=True, text=True, timeout=60, check=False)
+    assert run.returncode == 3 and run.stdout == "" and "exceeds limit" in run.stderr
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run_cli(capsys, "verify", "8", "--field", "Q", "--exhaustive", "--numeric", "--tol", tol)
+    assert code == 2 and out == "" and err.startswith("error:") and "--tol" in err
+
+
+FUZZ_FIELDS = ["Q", "Qi", "sqrt:5", "sqrt:-7", "sqrt:12", "sqrt:1", "cyclo:3", "cyclo:0", "custom:8:5",
+               "custom:8:2", "custom:0:1", "nonsense"]
+FUZZ_SETS = ["1", "1,5", "0", "2,3,4", "blocks:0", "blocks:0,1", "blocks:99", "x", ""]
+FUZZ_ENV = [None, "", "5", "abc", "0"]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["partition", "check", "enumerate", "spectrum", "verify", "verify"]))
+    if command == "verify":
+        argv = ["verify", draw(st.sampled_from(["6", "5..6", "1", "9..2", "x"])),
+                "--field", draw(st.sampled_from(["Q", "Qi", "sqrt:2"]))]
+        argv += draw(st.sampled_from([["--exhaustive"], ["--samples", "3"], ["--samples", "0"]]))
+        argv += draw(st.sampled_from([[], ["--seed", "5"]]))
+        argv += draw(st.sampled_from([[], ["--lemma1"]]))
+        argv += draw(st.sampled_from([[], ["--numeric"]]))
+        argv += draw(st.sampled_from([[]] + [["--tol", t] for t in ("-1", "0", "nan", "inf", "1e-9")]))
+        return argv
+    argv = [command, str(draw(st.integers(-1, 10)))]
+    if command in ("check", "spectrum"):
+        argv += ["--set", draw(st.sampled_from(FUZZ_SETS))]
+    if command != "spectrum":
+        argv += ["--field", draw(st.sampled_from(FUZZ_FIELDS))]
+    if command == "enumerate":
+        argv += draw(st.sampled_from([[], ["--limit", "0"], ["--limit", "3"], ["--limit", "-1"]]))
+    elif command == "spectrum":
+        argv += [draw(st.sampled_from(["--exact", "--numeric"]))]
+    else:
+        argv += draw(st.sampled_from([[], ["--format", "table"], ["--format", "json"]]))
+    return argv
+
+
+@given(cli_argv(), st.sampled_from(FUZZ_ENV), st.sampled_from(FUZZ_ENV))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_fuzzed_argv_exits_cleanly(argv, modulus_env, enum_env):
+    env = {name: value for name, value in (("CIRC_LIMIT_MODULUS", modulus_env), ("CIRC_LIMIT_ENUM", enum_env))
+           if value is not None}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

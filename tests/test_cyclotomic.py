@@ -15,6 +15,7 @@ from circint import (
     eigenvalue,
     euler_phi,
     galois_apply,
+    limits,
     reduce_coefficients,
 )
 
@@ -48,11 +49,12 @@ def test_cyclotomic_polynomial_105_has_coefficient_minus_two():
     assert -2 in cyclotomic_polynomial(105)
 
 
-def test_cyclotomic_order_limit():
+def test_cyclotomic_order_limit(monkeypatch):
     with pytest.raises(LimitExceeded):
         cyclotomic_polynomial(10_001)
+    monkeypatch.setattr(limits, "EXACT_ORDER_LIMIT", 200)
     with pytest.raises(LimitExceeded):
-        cyclotomic_polynomial(300, order_limit=200)
+        cyclotomic_polynomial(300)
 
 
 def test_cyc_equal_examples():

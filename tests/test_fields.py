@@ -121,6 +121,26 @@ def test_galois_subgroup_examples():
     assert galois_subgroup_mod(field_cyclotomic(8), 1).elements == (0,)
 
 
+def lcm_scan_subgroup(field, g):
+    """Reference: the mod-g image of the units modulo lcm(conductor, g)
+    whose residue mod the conductor lies in the fixing subgroup."""
+    m = field.conductor
+    big = m * g // gcd(m, g)
+    members = set(field.fixing_subgroup.elements)
+    return tuple(sorted({a % g for a in range(1, big + 1) if gcd(a, big) == 1 and a % m in members}))
+
+
+LCM_SCAN_FIELDS = ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7", "sqrt:-5", "cyclo:3", "cyclo:5",
+                   "cyclo:8", "cyclo:12", "custom:13:5", "custom:16:7", "custom:21:4"]
+
+
+@pytest.mark.parametrize("spec", LCM_SCAN_FIELDS)
+def test_galois_subgroup_matches_lcm_scan(spec):
+    field = parse_field(spec)
+    for g in range(1, 300):
+        assert galois_subgroup_mod(field, g).elements == lcm_scan_subgroup(field, g), (spec, g)
+
+
 def test_galois_subgroup_needs_lcm_not_plain_reduction():
     # sqrt(2) does not lie in the 14th cyclotomic field, so the subgroup
     # is everything; reducing the mod-8 kernel condition naively would
@@ -198,11 +218,14 @@ def test_parse_field_rejects():
         parse_field("sqrt:12")
 
 
-def test_limits_on_field_operations():
+def test_limits_on_field_operations(monkeypatch):
     with pytest.raises(LimitExceeded):
         field_cyclotomic(200_000)
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", "50")
+    # the bound applies to the modulus passed in, never to lcm(9, 7) = 63
+    assert galois_subgroup_mod(field_cyclotomic(9), 7) == units_mod(7)
     with pytest.raises(LimitExceeded):
-        galois_subgroup_mod(field_cyclotomic(9), 7, modulus_limit=50)
+        galois_subgroup_mod(field_rationals(), 51)
 
 
 @given(st.integers(1, 150))

@@ -81,11 +81,12 @@ def test_enumerate_order_and_content():
     assert len(list(enumerate_integral(8, field_gaussian()))) == 32
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
+    monkeypatch.setenv("CIRC_LIMIT_ENUM", "4")
     with pytest.raises(TooManyOrbits):
-        list(enumerate_integral(6, field_rationals(), budget=4))
+        list(enumerate_integral(6, field_rationals()))
     # a limit waives the budget
-    assert len(list(enumerate_integral(6, field_rationals(), limit=3, budget=4))) == 3
+    assert len(list(enumerate_integral(6, field_rationals(), limit=3))) == 3
 
 
 def test_count_integral():

@@ -190,8 +190,9 @@ def test_lattice_check_examples():
     assert numeric_lattice_check(CirculantSpec.of(6, [1, 5]), RATIONAL_LATTICE, 1e-6)
     with pytest.raises(UnsupportedLattice):
         numeric_lattice_check(four_cycle, "eisenstein-integers", 1e-6)
-    with pytest.raises(ValueError):
-        numeric_lattice_check(four_cycle, RATIONAL_LATTICE, 0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            numeric_lattice_check(four_cycle, RATIONAL_LATTICE, tol)
 
 
 @given(st.integers(2, 40), st.data())

@@ -2,6 +2,7 @@ import json
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from circint import (
@@ -13,8 +14,8 @@ from circint import (
     field_quadratic,
     field_rationals,
     gcd_class,
-    locate,
     orbit_partition,
+    parse_field,
     proper_divisors,
     r_count,
 )
@@ -85,23 +86,51 @@ def test_r_count_matches_block_count():
 
 def test_locate():
     part = orbit_partition(8, field_gaussian())
-    assert locate(part, 7) == 1
-    assert locate(part, 1) == 0
-    assert locate(part, 6) == 3
-    assert locate(orbit_partition(6, field_rationals()), 3) == 2
+    assert part.locate(7) == 1
+    assert part.locate(1) == 0
+    assert part.locate(6) == 3
+    assert orbit_partition(6, field_rationals()).locate(3) == 2
     for x in range(1, 8):
-        assert x in part.blocks[locate(part, x)].members
+        assert x in part.blocks[part.locate(x)].members
     with pytest.raises(OutOfRange):
-        locate(part, 0)
+        part.locate(0)
     with pytest.raises(OutOfRange):
-        locate(part, 8)
+        part.locate(8)
 
 
-def test_degenerate_and_limit_errors():
+def test_degenerate_and_limit_errors(monkeypatch):
     with pytest.raises(DegenerateOrder):
         orbit_partition(1, field_rationals())
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", "100")
+    # the bound applies to n, never to lcm(7, 30) = 210; Q(zeta_7) meets
+    # every Q(zeta_g), g | 30, in Q alone
+    assert orbit_partition(30, field_cyclotomic(7)).blocks == orbit_partition(30, field_rationals()).blocks
     with pytest.raises(LimitExceeded):
-        orbit_partition(30, field_cyclotomic(7), modulus_limit=100)
+        orbit_partition(101, field_rationals())
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", "20")
+    with pytest.raises(LimitExceeded):
+        orbit_partition(30, field_rationals())  # cached above, still refused
+
+
+def intersection_degree(spec, g):
+    """Degree of K meet Q(zeta_g) from the field's own description: a
+    quadratic field of conductor c lies in Q(zeta_g) exactly when c | g,
+    and Q(zeta_m) meets Q(zeta_g) in Q(zeta_gcd(m, g))."""
+    kind, _, arg = spec.partition(":")
+    if kind == "cyclo":
+        return int(sympy.totient(gcd(int(arg), g)))
+    d = -1 if kind == "Qi" else int(arg)
+    conductor = abs(d if d % 4 == 1 else 4 * d)
+    return 2 if g % conductor == 0 else 1
+
+
+@pytest.mark.parametrize("n,spec", [(30001, "Qi"), (99991, "sqrt:-7"), (50000, "cyclo:12"), (49999, "sqrt:5")])
+def test_orders_past_the_conductor_lcm(n, spec):
+    # lcm(conductor, n) exceeds the modulus bound here; only n is bounded
+    expected = sum(intersection_degree(spec, g) for g in sympy.divisors(n) if g > 1)
+    field = parse_field(spec)
+    assert r_count(n, field) == expected
+    assert len(orbit_partition(n, field).blocks) == expected
 
 
 def test_json_shape():

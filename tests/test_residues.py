@@ -70,12 +70,14 @@ def test_gcd_class_rejects_non_divisors():
         gcd_class(6, 0)
 
 
-def test_modulus_limit_enforced():
+def test_modulus_limit_enforced(monkeypatch):
     with pytest.raises(LimitExceeded):
         units_mod(100_001)
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", "10")
     with pytest.raises(LimitExceeded):
-        euler_phi(50, modulus_limit=10)
-    assert euler_phi(50, modulus_limit=50) == 20
+        euler_phi(50)
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", "50")
+    assert euler_phi(50) == 20
 
 
 def test_unit_subgroup_structural_checks():

@@ -12,6 +12,7 @@ from circint import (
     field_rationals,
     lattice_cross_verify,
     lemma1_check,
+    limits,
     orbit_partition,
 )
 
@@ -34,10 +35,11 @@ def test_cross_verify_sampled_and_deterministic():
     assert first.seed == 1 and first.mode == "sample"
 
 
-def test_cross_verify_exhaustive_bound():
+def test_cross_verify_exhaustive_bound(monkeypatch):
     with pytest.raises(LimitExceeded):
         cross_verify(15, field_rationals())
-    rep = cross_verify(15, field_rationals(), exhaustive_bound=15)
+    monkeypatch.setattr(limits, "EXHAUSTIVE_BOUND", 15)
+    rep = cross_verify(15, field_rationals())
     assert rep.cases_checked == 1 << 14 and rep.passed
 
 
