@@ -5,7 +5,7 @@ output carries machine-readable JSON (JSON Lines for streams) and is
 byte-identical across repeated identical invocations; timings and error
 text go to standard error. Exit codes: 0 success or integral, 1 valid
 negative result (not integral, or mismatches found), 2 usage or input
-error, 3 resource limit exceeded.
+error or unwritable standard output, 3 resource limit exceeded.
 
 Environment: CIRC_LIMIT_MODULUS and CIRC_LIMIT_ENUM override the default
 modulus bound and enumeration budget.
@@ -14,8 +14,10 @@ modulus bound and enumeration budget.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 from . import limits
@@ -137,6 +139,7 @@ def _cmd_spectrum(args) -> int:
     members = _parse_set_spec(args.set, args.n, None)
     spec = CirculantSpec.of(args.n, members)
     n = spec.order
+    limits.check_modulus(n)
     if args.exact:
         limits.check_order(n)
         rows = [list(reduce_coefficients(eigenvalue(n, spec.connection_set, r))) for r in range(n)]
@@ -228,12 +231,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (LimitExceeded, TooManyOrbits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except CircError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # standard output is unwritable (a closed pipe, a full disk); point it
+        # at devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if exc.errno != errno.EPIPE:
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -147,7 +147,7 @@ def galois_subgroup_mod(field: AbelianField, g: int) -> UnitSubgroup:
     return _galois_subgroup_cached(field, g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # bounded; holds every divisor g of one n <= 10^5 (at most 128)
 def _galois_subgroup_cached(field: AbelianField, g: int) -> UnitSubgroup:
     if g == 1:
         return UnitSubgroup(1, (0,))

@@ -13,7 +13,7 @@ overrule the exact decision.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from . import limits
 from .cyclotomic import cyc_equal, eigenvalue
@@ -65,6 +65,8 @@ def numeric_spectrum(spec) -> list[complex]:
     matrix entries, so memory stays bounded; each row is summed on its own,
     so the values do not depend on the chunking.
     """
+    import numpy as np  # deferred: only the numeric paths pay its import time
+
     n = spec.order
     rs = np.arange(n).reshape(-1, 1)
     ss = np.array(spec.connection_set, dtype=float).reshape(1, -1)
@@ -82,7 +84,7 @@ def numeric_lattice_check(spec, lattice: str, tol: float) -> bool:
     Only the rational integers and the Gaussian integers are supported;
     membership in a general field has no simple floating-point test.
     """
-    if not (np.isfinite(tol) and tol > 0):
+    if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if lattice == RATIONAL_LATTICE:
         snap_imag = False

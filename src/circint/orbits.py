@@ -97,7 +97,7 @@ def orbit_partition(n: int, field: AbelianField) -> OrbitPartition:
     return _partition_cached(n, field)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # bounded: a partition of n near 10^5 takes megabytes
 def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
     blocks = []
     for p in proper_divisors(n):
@@ -120,15 +120,15 @@ def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
 
 
 def r_count(n: int, field: AbelianField) -> int:
-    """Total number of blocks: the sum over proper divisors p of
-    phi(n/p) divided by the order of the Galois subgroup at n/p."""
+    """Total number of blocks: the sum over proper divisors p of the degree
+    of the field's meet with Q(zeta_(n/p)), which is phi(d) over the size
+    of the fixing subgroup reduced mod d = gcd(conductor, n/p)."""
     if n < 2:
         raise DegenerateOrder(f"r_count needs n >= 2, got {n}")
     total = 0
     for p in proper_divisors(n):
-        g = n // p
-        h = len(galois_subgroup_mod(field, g))
-        q, rem = divmod(euler_phi(g), h)
+        d = gcd(field.conductor, n // p)
+        q, rem = divmod(euler_phi(d), len({h % d for h in field.fixing_subgroup.elements}))
         assert rem == 0
         total += q
     return total

@@ -169,6 +169,14 @@ def test_spectrum_numeric_six_cycle(capsys):
     assert all(row[1] == 0.0 for row in rows)
 
 
+def test_spectrum_applies_modulus_bound(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "spectrum", "200001", "--set", "1", "--numeric")
+    assert code == 3 and out == "" and "200001" in err
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", "50")
+    code, out, err = run_cli(capsys, "spectrum", "60", "--set", "1", "--exact")
+    assert code == 3 and out == "" and "limit 50" in err
+
+
 def test_spectrum_exact(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "6", "--set", "1,2,5", "--exact")
     assert code == 0
@@ -315,3 +323,63 @@ def test_fuzzed_argv_exits_cleanly(argv, modulus_env, enum_env):
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def test_closed_pipe_exits_two_silently():
+    # the reader goes away after one line; the rest of the stream hits EPIPE
+    proc = subprocess.Popen([sys.executable, "-m", "circint", "enumerate", "200", "--field", "Q", "--limit", "2000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert json.loads(proc.stdout.readline())["S"] == []
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_two_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        run = subprocess.run([sys.executable, "-m", "circint", "partition", "8", "--field", "Q"],
+                             stdout=full, stderr=subprocess.PIPE, text=True, timeout=60, check=False)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:") and len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr
+
+
+NUMPY_FREE_ARGV = [
+    ["partition", "12", "--field", "Qi"],
+    ["check", "12", "--set", "1,5,7,11", "--field", "Q"],
+    ["enumerate", "12", "--field", "sqrt:-3", "--limit", "5"],
+    ["spectrum", "12", "--set", "1,11", "--exact"],
+    ["verify", "8", "--field", "Qi", "--exhaustive", "--lemma1"],
+]
+NUMERIC_ARGV = [
+    ["spectrum", "4", "--set", "1", "--numeric"],
+    ["verify", "8", "--field", "Qi", "--exhaustive", "--numeric"],
+]
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import circint
+from circint.cli import main
+loaded, codes, outs = ["numpy" in sys.modules], [], []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(main(argv))
+    loaded.append("numpy" in sys.modules)
+    outs.append(out.getvalue())
+print(json.dumps({"loaded": loaded, "codes": codes, "outs": outs}))
+"""
+
+
+def test_numpy_stays_off_the_start_up_path():
+    # a fresh interpreter: only the numeric paths may import numpy
+    run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(NUMPY_FREE_ARGV + NUMERIC_ARGV)],
+                         capture_output=True, text=True, timeout=120, check=True)
+    doc = json.loads(run.stdout)
+    assert doc["loaded"] == [False] * (1 + len(NUMPY_FREE_ARGV)) + [True] * len(NUMERIC_ARGV)
+    assert doc["codes"] == [0] * (len(NUMPY_FREE_ARGV) + len(NUMERIC_ARGV))
+    spectrum, verify = doc["outs"][-2:]
+    assert json.loads(spectrum)["spectrum"] == [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    reports = [json.loads(line) for line in verify.splitlines()]
+    assert [r["mode"] for r in reports] == ["exhaustive", "numeric"]
+    assert all(r["mismatches"] == [] for r in reports)

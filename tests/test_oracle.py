@@ -1,3 +1,4 @@
+import ast
 import cmath
 import random
 from pathlib import Path
@@ -136,11 +137,19 @@ def test_oracle_reduces_at_most_once_per_eigenvalue(monkeypatch):
 
 def test_oracle_path_has_no_block_machinery():
     # independence of the two decision routes hinges on this module never
-    # touching the orbit construction or the block decision
-    source = Path(circint.oracle.__file__).read_text()
-    imports = [line for line in source.splitlines() if line.startswith(("import", "from"))]
+    # touching the orbit construction or the block decision, at any depth:
+    # function-level imports count as much as module-level ones
+    tree = ast.parse(Path(circint.oracle.__file__).read_text())
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imports += [base] + [f"{base}.{alias.name}" for alias in node.names]
     assert imports
-    assert not any("orbits" in line or ".integrality" in line for line in imports)
+    assert "numpy" in imports  # the deferred import inside numeric_spectrum is seen
+    assert not any("orbits" in name or ".integrality" in name for name in imports)
 
 
 def test_numeric_spectrum_four_cycle():

@@ -5,6 +5,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import circint.fields
+import circint.orbits
 from circint import (
     DegenerateOrder,
     LimitExceeded,
@@ -79,8 +81,11 @@ def test_r_count_examples():
 
 
 def test_r_count_matches_block_count():
-    for field in PRESETS:
-        for n in range(2, 40):
+    # custom fields with a non-cyclic or non-quadratic fixing subgroup check
+    # the image-mod-gcd count against the listed orbits
+    extra = [parse_field(s) for s in ("cyclo:12", "custom:15:2", "custom:21:4,5", "custom:40:9,11")]
+    for field in PRESETS + extra:
+        for n in range(2, 90):
             assert r_count(n, field) == len(orbit_partition(n, field).blocks)
 
 
@@ -131,6 +136,13 @@ def test_orders_past_the_conductor_lcm(n, spec):
     field = parse_field(spec)
     assert r_count(n, field) == expected
     assert len(orbit_partition(n, field).blocks) == expected
+
+
+def test_caches_are_bounded():
+    # a sweep over many orders must not keep every partition and subgroup
+    for cached in (circint.orbits._partition_cached, circint.fields._galois_subgroup_cached):
+        maxsize = cached.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 def test_json_shape():
