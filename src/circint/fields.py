@@ -147,13 +147,18 @@ def galois_subgroup_mod(field: AbelianField, g: int) -> UnitSubgroup:
     return _galois_subgroup_cached(field, g)
 
 
-@lru_cache(maxsize=256)  # bounded; holds every divisor g of one n <= 10^5 (at most 128)
+@lru_cache(maxsize=256)  # bounded; only the oracle and lemma1_check call it, at g = n <= 10^4
 def _galois_subgroup_cached(field: AbelianField, g: int) -> UnitSubgroup:
     if g == 1:
         return UnitSubgroup(1, (0,))
-    d = gcd(field.conductor, g)
-    allowed = {h % d for h in field.fixing_subgroup.elements}
+    d, allowed = _fixing_mod(field, g)
     return UnitSubgroup(g, tuple(b for b in range(1, g) if b % d in allowed and gcd(b, g) == 1))
+
+
+def _fixing_mod(field: AbelianField, g: int) -> tuple[int, frozenset[int]]:
+    """d = gcd(conductor, g) and the fixing subgroup mod d; see galois_subgroup_mod."""
+    d = gcd(field.conductor, g)
+    return d, frozenset(h % d for h in field.fixing_subgroup.elements)
 
 
 def parse_field(text: str) -> AbelianField:

@@ -1,11 +1,11 @@
 """The orbit partition of {1, ..., n-1} attached to a pair (n, K).
 
 Residues are first split by gcd with n; the class with gcd p is p times
-the units modulo g = n/p, and the Galois subgroup of K at modulus g acts
-on it by multiplication on the unit part. The orbits of that action are
-the blocks. A connection set yields a digraph integral over K exactly
-when it is a union of whole blocks, which is what downstream modules
-consume.
+the units modulo g = n/p. Its blocks are the orbits of the Galois subgroup
+of K at modulus g, that is (by CRT) the classes of units mod g with one
+key: their residue mod d = gcd(conductor, g) up to the fixing subgroup
+reduced mod d. A connection set yields a digraph integral over K exactly
+when it is a union of whole blocks, which is what downstream modules consume.
 
 Blocks are ordered by (divisor, smallest member); block indices elsewhere
 always refer to this canonical order. Tools that order blocks differently
@@ -20,7 +20,7 @@ from math import gcd
 
 from . import limits
 from .errors import DegenerateOrder, OutOfRange
-from .fields import AbelianField, galois_subgroup_mod
+from .fields import AbelianField, _fixing_mod
 from .residues import euler_phi, proper_divisors
 
 
@@ -54,32 +54,33 @@ class OrbitPartition:
         }
 
     def validate(self) -> None:
-        """Re-derive every structural property; raises on any failure."""
+        """Re-derive every structural property; raises on any failure. Over
+        divisor p, with g = n/p and d = gcd(conductor, g), a block is one orbit
+        of |H_g| = phi(g) |H mod d| / phi(d) units with keys in one class mod d."""
         n = self.order
         seen = set()
+        by_divisor = {}
         for b in self.blocks:
-            if not b.members:
-                raise ValueError("empty block")
-            for x in b.members:
-                if not 1 <= x < n or x in seen:
-                    raise ValueError(f"member {x} out of range or duplicated")
-                seen.add(x)
-                if gcd(x, n) != b.divisor:
-                    raise ValueError(f"gcd({x}, {n}) != {b.divisor}")
+            ms = b.members
+            if not ms or min(ms) < 1 or max(ms) >= n or not seen.isdisjoint(ms):
+                raise ValueError(f"a block over divisor {b.divisor} is empty, out of range or overlaps another")
+            seen.update(ms)
+            if {gcd(x, n) for x in ms} != {b.divisor}:
+                raise ValueError(f"block of {ms[0]} has a member whose gcd with {n} is not {b.divisor}")
+            by_divisor.setdefault(b.divisor, []).append(ms)
         if len(seen) != n - 1:
             raise ValueError("blocks do not cover 1..n-1")
-        sizes: dict[int, set[int]] = {}
-        counts: dict[int, int] = {}
-        for b in self.blocks:
-            sizes.setdefault(b.divisor, set()).add(len(b.members))
-            counts[b.divisor] = counts.get(b.divisor, 0) + 1
-        for p, found in sizes.items():
+        for p, found in by_divisor.items():
             g = n // p
-            h = len(galois_subgroup_mod(self.field, g))
-            if found != {h}:
-                raise ValueError(f"blocks over divisor {p} have sizes {found}, expected {h}")
-            if counts[p] != euler_phi(g) // h:
+            d, reduced = _fixing_mod(self.field, g)
+            h = euler_phi(g) * len(reduced) // euler_phi(d)
+            if {len(ms) for ms in found} != {h}:
+                raise ValueError(f"blocks over divisor {p} are not all of size {h}")
+            if len(found) != euler_phi(g) // h:
                 raise ValueError(f"wrong number of blocks over divisor {p}")
+            for ms in found:
+                if not {x // p % d for x in ms} <= {a * (ms[0] // p) % d for a in reduced}:
+                    raise ValueError(f"block of {ms[0]} over divisor {p} is not one Galois orbit")
         keys = [(b.divisor, b.members[0]) for b in self.blocks]
         if keys != sorted(keys):
             raise ValueError("blocks out of canonical order")
@@ -99,22 +100,22 @@ def orbit_partition(n: int, field: AbelianField) -> OrbitPartition:
 
 @lru_cache(maxsize=256)  # bounded: a partition of n near 10^5 takes megabytes
 def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
-    blocks = []
+    # per divisor p: d, H mod d, the key table mod d (filled on first sight), the blocks
+    state = {}
     for p in proper_divisors(n):
-        g = n // p
-        acts = galois_subgroup_mod(field, g).elements
-        seen: set[int] = set()
-        p_blocks = []
-        for x in range(1, g):
-            if x in seen or gcd(x, g) != 1:
-                continue
-            orbit = sorted(a * x % g for a in acts)
-            assert len(set(orbit)) == len(acts), "group action is not free"
-            seen.update(orbit)
-            p_blocks.append(tuple(p * y for y in orbit))
-        p_blocks.sort(key=lambda ms: ms[0])
-        blocks.extend(OrbitBlock(p, ms) for ms in p_blocks)
-    part = OrbitPartition(n, field, tuple(blocks))
+        d, reduced = _fixing_mod(field, n // p)
+        state[p] = (d, reduced, [None] * d, [])
+    for x in range(1, n):
+        p = gcd(x, n)
+        d, reduced, table, found = state[p]
+        key = x // p % d
+        members = table[key]
+        if members is None:
+            found.append(members := [])
+            for a in reduced:
+                table[a * key % d] = members
+        members.append(x)
+    part = OrbitPartition(n, field, tuple(OrbitBlock(p, tuple(ms)) for p, (*_, found) in state.items() for ms in found))
     part.validate()
     return part
 
@@ -127,8 +128,8 @@ def r_count(n: int, field: AbelianField) -> int:
         raise DegenerateOrder(f"r_count needs n >= 2, got {n}")
     total = 0
     for p in proper_divisors(n):
-        d = gcd(field.conductor, n // p)
-        q, rem = divmod(euler_phi(d), len({h % d for h in field.fixing_subgroup.elements}))
+        d, reduced = _fixing_mod(field, n // p)
+        q, rem = divmod(euler_phi(d), len(reduced))
         assert rem == 0
         total += q
     return total

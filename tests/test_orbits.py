@@ -8,14 +8,19 @@ from hypothesis import given, settings, strategies as st
 import circint.fields
 import circint.orbits
 from circint import (
+    CirculantSpec,
     DegenerateOrder,
     LimitExceeded,
+    OrbitBlock,
+    OrbitPartition,
     OutOfRange,
     field_cyclotomic,
     field_gaussian,
     field_quadratic,
     field_rationals,
+    galois_subgroup_mod,
     gcd_class,
+    oracle_is_integral,
     orbit_partition,
     parse_field,
     proper_divisors,
@@ -197,3 +202,67 @@ def test_block_sizes_follow_the_galois_subgroups(n, field):
         h = len(galois_subgroup_mod(field, n // p))
         assert all(len(ms) == h for ms in members)
         assert len(members) == euler_phi(n // p) // h
+
+
+def multiplication_partition(n, field):
+    """Reference: every orbit multiplied out from the listed Galois subgroup
+    at each modulus g = n/p, sorted, blocks in (divisor, smallest member)
+    order."""
+    blocks = []
+    for p in proper_divisors(n):
+        g = n // p
+        acts = galois_subgroup_mod(field, g).elements
+        seen = set()
+        p_blocks = []
+        for x in range(1, g):
+            if x in seen or gcd(x, g) != 1:
+                continue
+            orbit = sorted(a * x % g for a in acts)
+            assert len(set(orbit)) == len(acts), "group action is not free"
+            seen.update(orbit)
+            p_blocks.append(tuple(p * y for y in orbit))
+        p_blocks.sort(key=lambda ms: ms[0])
+        blocks.extend((p, ms) for ms in p_blocks)
+    return blocks
+
+
+# the fields of test_fields.test_galois_subgroup_matches_lcm_scan
+KEYED_BUILD_FIELDS = ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7", "sqrt:-5", "cyclo:3", "cyclo:5",
+                      "cyclo:8", "cyclo:12", "custom:13:5", "custom:16:7", "custom:21:4"]
+
+
+@pytest.mark.parametrize("spec", KEYED_BUILD_FIELDS)
+def test_keyed_build_matches_multiplied_orbits(spec):
+    field = parse_field(spec)
+    for n in range(2, 300):
+        assert blocks_as_tuples(orbit_partition(n, field)) == multiplication_partition(n, field), (spec, n)
+
+
+@pytest.mark.parametrize("n", [65536, 83160, 99991])
+@pytest.mark.parametrize("spec", ["Q", "Qi", "sqrt:-7"])
+def test_keyed_build_matches_multiplied_orbits_near_the_bound(n, spec):
+    field = parse_field(spec)
+    assert blocks_as_tuples(orbit_partition(n, field)) == multiplication_partition(n, field)
+
+
+def with_blocks(part, blocks):
+    return OrbitPartition(part.order, part.field, tuple(OrbitBlock(p, ms) for p, ms in blocks))
+
+
+def test_validate_rejects_blocks_that_are_not_orbits():
+    good = orbit_partition(24, field_gaussian())
+    good.validate()
+    blocks = blocks_as_tuples(good)
+    assert blocks[:2] == [(1, (1, 5, 13, 17)), (1, (7, 11, 19, 23))]
+    # same sizes, counts, gcds, coverage and order, but each block mixes
+    # two orbits: 1 and 7 differ mod 4, and Q(i) tells them apart
+    regrouped = with_blocks(good, [(1, (1, 5, 7, 11)), (1, (13, 17, 19, 23))] + blocks[2:])
+    assert not oracle_is_integral(CirculantSpec(24, (1, 5, 7, 11)), field_gaussian())
+    with pytest.raises(ValueError, match="not one Galois orbit"):
+        regrouped.validate()
+    split = with_blocks(good, [(1, (1, 5)), (1, (13, 17))] + blocks[1:])
+    merged = with_blocks(good, [(1, blocks[0][1] + blocks[1][1])] + blocks[2:])
+    reordered = with_blocks(good, [blocks[1], blocks[0]] + blocks[2:])
+    for bad, message in [(split, "size"), (merged, "size"), (reordered, "canonical order")]:
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
