@@ -16,6 +16,7 @@ from math import gcd, prod
 
 from . import limits
 from .errors import DegenerateOrder, NotAUnit, OrderMismatch, OutOfRange
+from .residues import _prime_factors
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,7 @@ class CyclotomicInteger:
         return CyclotomicInteger(self.order, tuple(-c for c in self.coefficients))
 
 
-def _prime_factors(n: int) -> list[int]:
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # bounded; holds every order of an oracle sweep over n in 100..300
 def _cyclotomic(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)

@@ -72,16 +72,24 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise DegenerateOrder(f"euler_phi needs n >= 1, got {n}")
     limits.check_modulus(n)
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    result = n
+    for q in _prime_factors(n):
+        result -= result // q
     return result
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def units_mod(n: int) -> UnitSubgroup:

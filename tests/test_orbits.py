@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import circint.cyclotomic
 import circint.fields
 import circint.orbits
 from circint import (
@@ -14,6 +15,7 @@ from circint import (
     OrbitBlock,
     OrbitPartition,
     OutOfRange,
+    euler_phi,
     field_cyclotomic,
     field_gaussian,
     field_quadratic,
@@ -71,7 +73,7 @@ def test_partition_gaussian_order_twelve():
 
 
 def test_partition_full_cyclotomic_gives_singletons():
-    for n in (2, 5, 9, 12):
+    for n in (2, 5, 9, 12, 65536, 99991):
         part = orbit_partition(n, field_cyclotomic(n))
         expected = sorted(((gcd(x, n), (x,)) for x in range(1, n)), key=lambda b: (b[0], b[1][0]))
         assert blocks_as_tuples(part) == expected
@@ -145,7 +147,8 @@ def test_orders_past_the_conductor_lcm(n, spec):
 
 def test_caches_are_bounded():
     # a sweep over many orders must not keep every partition and subgroup
-    for cached in (circint.orbits._partition_cached, circint.fields._galois_subgroup_cached):
+    for cached in (circint.orbits._partition_cached, circint.fields._galois_subgroup_cached,
+                   circint.cyclotomic._cyclotomic):
         maxsize = cached.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
 
@@ -238,9 +241,9 @@ def test_keyed_build_matches_multiplied_orbits(spec):
         assert blocks_as_tuples(orbit_partition(n, field)) == multiplication_partition(n, field), (spec, n)
 
 
-@pytest.mark.parametrize("n", [65536, 83160, 99991])
-@pytest.mark.parametrize("spec", ["Q", "Qi", "sqrt:-7"])
-def test_keyed_build_matches_multiplied_orbits_near_the_bound(n, spec):
+@pytest.mark.parametrize("spec,n", [(spec, n) for spec in ("Q", "Qi", "sqrt:-7") for n in (65536, 83160, 99991)]
+                         + [("custom:99991:-1", 99991)])  # d = g: 49995 blocks of two
+def test_keyed_build_matches_multiplied_orbits_near_the_bound(spec, n):
     field = parse_field(spec)
     assert blocks_as_tuples(orbit_partition(n, field)) == multiplication_partition(n, field)
 
@@ -266,3 +269,101 @@ def test_validate_rejects_blocks_that_are_not_orbits():
     for bad, message in [(split, "size"), (merged, "size"), (reordered, "canonical order")]:
         with pytest.raises(ValueError, match=message):
             bad.validate()
+    # the canonical-order check must not read a block's first member as its smallest
+    unsorted = OrbitPartition(6, field_rationals(), (OrbitBlock(1, (5, 1)), OrbitBlock(2, (4, 2)), OrbitBlock(3, (3,))))
+    with pytest.raises(ValueError, match="ascending"):
+        unsorted.validate()
+
+
+def per_member_validate(part):
+    """Reference: the validation that tested gcd(x, n) and the orbit key of
+    every member one at a time."""
+    n = part.order
+    seen = set()
+    by_divisor = {}
+    for b in part.blocks:
+        ms = b.members
+        if not ms or min(ms) < 1 or max(ms) >= n or not seen.isdisjoint(ms):
+            raise ValueError(f"a block over divisor {b.divisor} is empty, out of range or overlaps another")
+        seen.update(ms)
+        if {gcd(x, n) for x in ms} != {b.divisor}:
+            raise ValueError(f"block of {ms[0]} has a member whose gcd with {n} is not {b.divisor}")
+        by_divisor.setdefault(b.divisor, []).append(ms)
+    if len(seen) != n - 1:
+        raise ValueError("blocks do not cover 1..n-1")
+    for p, found in by_divisor.items():
+        g = n // p
+        d, reduced = circint.fields._fixing_mod(part.field, g)
+        h = euler_phi(g) * len(reduced) // euler_phi(d)
+        if {len(ms) for ms in found} != {h}:
+            raise ValueError(f"blocks over divisor {p} are not all of size {h}")
+        if len(found) != euler_phi(g) // h:
+            raise ValueError(f"wrong number of blocks over divisor {p}")
+        for ms in found:
+            if not {x // p % d for x in ms} <= {a * (ms[0] // p) % d for a in reduced}:
+                raise ValueError(f"block of {ms[0]} over divisor {p} is not one Galois orbit")
+    keys = [(b.divisor, b.members[0]) for b in part.blocks]
+    if keys != sorted(keys):
+        raise ValueError("blocks out of canonical order")
+
+
+def canonical(blocks):
+    return sorted(((p, tuple(sorted(ms))) for p, ms in blocks), key=lambda b: (b[0], b[1][0]))
+
+
+def corruptions(part):
+    """Partitions that are not the orbit partition of (n, K), one per kind
+    of damage that applies: a member of gcd q swapped into, or copied
+    into, a block over a proper divisor p of q; a block over q relabelled
+    p where both have blocks of one size; labels that are not proper
+    divisors; two blocks over one divisor regrouped, split, merged or
+    reordered."""
+    n, blocks = part.order, blocks_as_tuples(part)
+    by_divisor = {}
+    for i, (p, _) in enumerate(blocks):
+        by_divisor.setdefault(p, []).append(i)
+    for p, q in ((p, q) for p in by_divisor for q in by_divisor if q > p and q % p == 0):
+        (i, *_), (j, *more) = by_divisor[p], by_divisor[q]
+        (_, low), (_, high) = blocks[i], blocks[j]
+        swapped, copied = list(blocks), list(blocks)
+        swapped[i], swapped[j] = (p, low[:-1] + high[:1]), (q, low[-1:] + high[1:])
+        copied[i] = (p, low[:-1] + high[:1])
+        yield "gcd", canonical(swapped)
+        yield "overlap", canonical(copied)
+        if more and len(low) == len(high):
+            yield "moved", canonical(blocks[:j] + [(p, high)] + blocks[j + 1:])
+    last = blocks[-1][0]
+    strays = [0, n] + [m for m in range(2, n) if n % m][:1]
+    for stray in strays:
+        yield "label", [(stray if b == last else b, ms) for b, ms in blocks]
+    for p, (i, j, *_) in ((p, ix) for p, ix in by_divisor.items() if len(ix) > 1):
+        (_, a), (_, b) = blocks[i], blocks[j]
+        rest = blocks[:i] + blocks[j + 1:]
+        if len(a) > 1:
+            yield "regrouped", canonical(rest + [(p, a[:-1] + b[-1:]), (p, b[:-1] + a[-1:])])
+            yield "split", canonical(rest + [(p, a[:1]), (p, a[1:]), (p, b)])
+        yield "merged", canonical(rest + [(p, a + b)])
+        yield "reordered", blocks[:i] + [blocks[j], blocks[i]] + blocks[j + 1:]
+        break
+
+
+@pytest.mark.parametrize("spec", KEYED_BUILD_FIELDS)
+def test_validate_agrees_with_the_per_member_check(spec):
+    # the divisibility, label and count checks must reach the verdicts of
+    # the per-member gcd and key tests; messages may differ
+    field = parse_field(spec)
+    kinds = set()
+    for n in range(2, 300):
+        part = orbit_partition(n, field)
+        part.validate()
+        per_member_validate(part)
+        for kind, blocks in corruptions(part):
+            kinds.add(kind)
+            bad = with_blocks(part, blocks)
+            with pytest.raises(ValueError):
+                per_member_validate(bad)
+            with pytest.raises(ValueError):
+                bad.validate()
+    assert kinds >= {"gcd", "overlap", "label"}
+    # over Q each divisor has a single block
+    assert spec == "Q" or kinds >= {"regrouped", "split", "merged", "reordered"}
