@@ -12,7 +12,6 @@ from .cyclotomic import (
     cyc_equal,
     cyclotomic_polynomial,
     eigenvalue,
-    galois_apply,
     reduce_coefficients,
 )
 from .errors import (
@@ -23,7 +22,6 @@ from .errors import (
     FieldSpecError,
     InvalidSet,
     LimitExceeded,
-    NotADivisor,
     NotAUnit,
     NotSquarefree,
     OrderMismatch,
@@ -62,7 +60,6 @@ from .orbits import OrbitBlock, OrbitPartition, orbit_partition, r_count
 from .residues import (
     UnitSubgroup,
     euler_phi,
-    gcd_class,
     proper_divisors,
     subgroup_closure,
     units_mod,
@@ -83,7 +80,6 @@ __all__ = [
     "IntegralityVerdict",
     "InvalidSet",
     "LimitExceeded",
-    "NotADivisor",
     "NotAUnit",
     "NotSquarefree",
     "OrbitBlock",
@@ -106,9 +102,7 @@ __all__ = [
     "field_gaussian",
     "field_quadratic",
     "field_rationals",
-    "galois_apply",
     "galois_subgroup_mod",
-    "gcd_class",
     "is_gauss_integral",
     "is_integral",
     "kronecker_symbol",

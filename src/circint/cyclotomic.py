@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 from . import limits
-from .errors import DegenerateOrder, NotAUnit, OrderMismatch, OutOfRange
+from .errors import DegenerateOrder, OrderMismatch, OutOfRange
 from .residues import _prime_factors
 
 
@@ -29,42 +29,6 @@ class CyclotomicInteger:
             raise DegenerateOrder(f"order must be positive, got {self.order}")
         if len(self.coefficients) != self.order:
             raise ValueError(f"need exactly {self.order} coefficients, got {len(self.coefficients)}")
-
-    @classmethod
-    def zero(cls, n: int) -> "CyclotomicInteger":
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def integer(cls, n: int, value: int) -> "CyclotomicInteger":
-        return cls(n, (value,) + (0,) * (n - 1))
-
-    @classmethod
-    def root_power(cls, n: int, k: int) -> "CyclotomicInteger":
-        coeffs = [0] * n
-        coeffs[k % n] = 1
-        return cls(n, tuple(coeffs))
-
-    @classmethod
-    def from_polynomial(cls, n: int, poly_coeffs) -> "CyclotomicInteger":
-        """Evaluate an integer polynomial at the primitive n-th root of
-        unity; exponents wrap modulo n."""
-        coeffs = [0] * n
-        for j, v in enumerate(poly_coeffs):
-            coeffs[j % n] += v
-        return cls(n, tuple(coeffs))
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        if self.order != other.order:
-            raise OrderMismatch(f"orders {self.order} and {other.order}")
-        return CyclotomicInteger(self.order, tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        if self.order != other.order:
-            raise OrderMismatch(f"orders {self.order} and {other.order}")
-        return CyclotomicInteger(self.order, tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.order, tuple(-c for c in self.coefficients))
 
 
 @lru_cache(maxsize=256)  # bounded; holds every order of an oracle sweep over n in 100..300
@@ -137,19 +101,6 @@ def cyc_equal(u: CyclotomicInteger, v: CyclotomicInteger) -> bool:
         return True
     diff = tuple(a - b for a, b in zip(u.coefficients, v.coefficients))
     return not any(_reduce(u.order, diff))
-
-
-def galois_apply(a: int, u: CyclotomicInteger) -> CyclotomicInteger:
-    """Image of u under the automorphism sending zeta to zeta^a."""
-    n = u.order
-    a %= n
-    if gcd(a, n) != 1:
-        raise NotAUnit(f"{a} is not invertible modulo {n}")
-    out = [0] * n
-    for j, c in enumerate(u.coefficients):
-        if c:
-            out[a * j % n] += c
-    return CyclotomicInteger(n, tuple(out))
 
 
 def eigenvalue(n: int, connection_set, r: int) -> CyclotomicInteger:

@@ -9,10 +9,6 @@ class NotAUnit(CircError):
     """A residue shares a factor with the modulus."""
 
 
-class NotADivisor(CircError):
-    """Expected a proper divisor of n."""
-
-
 class DegenerateOrder(CircError):
     """The order n is too small for the requested object."""
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from . import limits
 from .errors import BothZero, DegenerateInput, DegenerateOrder, FieldSpecError, NotSquarefree
-from .residues import UnitSubgroup, euler_phi, subgroup_closure, units_mod
+from .residues import UnitSubgroup, _prime_factors, euler_phi, subgroup_closure, units_mod
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,6 @@ def field_cyclotomic(m: int) -> AbelianField:
     return AbelianField(m, UnitSubgroup(m, (1,)), label=f"cyclo:{m}")
 
 
-def _is_squarefree(d: int) -> bool:
-    d = abs(d)
-    p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
-        if d % p == 0:
-            d //= p
-        p += 1 if p == 2 else 2
-    return True
-
-
 def field_quadratic(d: int) -> AbelianField:
     """The quadratic field generated by a square root of d.
 
@@ -90,7 +78,7 @@ def field_quadratic(d: int) -> AbelianField:
     disc = d if d % 4 == 1 else 4 * d
     m = abs(disc)
     limits.check_modulus(m)
-    if not _is_squarefree(d):
+    if prod(_prime_factors(abs(d))) != abs(d):
         raise NotSquarefree(f"{d} has a square factor")
     members = tuple(a for a in units_mod(m).elements if kronecker_symbol(disc, a) == 1)
     k = AbelianField(m, UnitSubgroup(m, members), label=f"sqrt:{d}")

@@ -1,4 +1,4 @@
-"""Unit groups, divisor lists, and gcd classes over desk-scale moduli.
+"""Unit groups and divisor lists over desk-scale moduli.
 
 Everything here is elementary modular arithmetic; these objects carry the
 Galois-group data used by the orbit construction.
@@ -11,7 +11,7 @@ from functools import cached_property
 from math import gcd
 
 from . import limits
-from .errors import DegenerateOrder, NotADivisor, NotAUnit
+from .errors import DegenerateOrder, NotAUnit
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,9 @@ class UnitSubgroup:
     """A multiplicatively closed set of residues modulo ``modulus``.
 
     Elements are stored strictly increasing. The trivial group modulo 1 is
-    the single residue 0. Construction runs the cheap structural checks;
-    ``validate()`` performs the exhaustive pairwise closure check.
+    the single residue 0. Construction runs the cheap structural checks
+    (identity, range, units, inverses); closure under products is not
+    checked.
     """
 
     modulus: int
@@ -57,14 +58,6 @@ class UnitSubgroup:
 
     def __contains__(self, x: int) -> bool:
         return x in self._member_set
-
-    def validate(self) -> None:
-        """Exhaustive subgroup check: every pairwise product stays inside."""
-        g = self.modulus
-        for a in self.elements:
-            for b in self.elements:
-                if (a * b) % g not in self._member_set:
-                    raise ValueError(f"not closed: {a}*{b} mod {g} escapes")
 
 
 def euler_phi(n: int) -> int:
@@ -143,13 +136,3 @@ def proper_divisors(n: int) -> tuple[int, ...]:
                 large.append(q)
         d += 1
     return tuple(small + large[::-1])
-
-
-def gcd_class(n: int, p: int) -> tuple[int, ...]:
-    """Residues x in [1, n) with gcd(x, n) = p, ascending."""
-    if n < 2:
-        raise DegenerateOrder(f"gcd_class needs n >= 2, got {n}")
-    limits.check_modulus(n)
-    if p < 1 or p >= n or n % p != 0:
-        raise NotADivisor(f"{p} is not a proper divisor of {n}")
-    return tuple(x for x in range(1, n) if gcd(x, n) == p)

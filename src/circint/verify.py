@@ -5,8 +5,9 @@ eigenvalue oracle side by side over subsets of {1, ..., n-1}, either
 exhaustively or on seeded random samples (each subset drawn as n-1
 independent fair bits, bit i covering residue i+1). lemma1_check tests
 the structural properties the block construction promises: every block's
-power-sum vector is entrywise fixed by the Galois subgroup at modulus n,
-and blocks have pairwise disjoint nonempty supports.
+power sum P_B(s) is fixed by the Galois subgroup at modulus n, checked as
+P_B(a*s) = P_B(s) for each a in it since sigma_a(P_B(s)) = P_B(a*s), and
+blocks have pairwise disjoint nonempty supports.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import time
 from dataclasses import dataclass
 
 from . import limits
-from .cyclotomic import CyclotomicInteger, cyc_equal, galois_apply
+from .cyclotomic import cyc_equal, eigenvalue
 from .errors import DegenerateOrder, LimitExceeded, UnsupportedLattice
-from .fields import AbelianField, field_gaussian, field_rationals, galois_subgroup_mod
+from .fields import AbelianField, _fixing_mod, galois_subgroup_mod
 from .integrality import CirculantSpec, is_integral
 from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, numeric_lattice_check, oracle_is_integral
 from .orbits import orbit_partition
@@ -111,12 +112,14 @@ def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
     """Floating-point sanity sweep: lattice proximity vs the exact oracle.
 
     Supported only for the rationals (rational-integer lattice) and the
-    Gaussian rationals (Gaussian-integer lattice); advisory by design.
+    Gaussian rationals (Gaussian-integer lattice), decided from the field
+    rather than its spec: degree 1 is Q, and degree 2 with a fixing
+    subgroup trivial mod 4 contains i, so it is Q(i). Advisory by design.
     """
     limits.check_order(n)
-    if field == field_rationals():
+    if field.degree == 1:
         lattice = RATIONAL_LATTICE
-    elif field == field_gaussian():
+    elif field.degree == 2 and _fixing_mod(field, 4) == (4, frozenset({1})):
         lattice = GAUSSIAN_LATTICE
     else:
         raise UnsupportedLattice(f"numeric check supports Q and Qi only, not {field.describe()}")
@@ -128,8 +131,11 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
 
     One case per (block, frequency) pair verifies that the block's
     power sum at that frequency is fixed by the whole Galois subgroup at
-    modulus n, i.e. lies in the target field; one case per block pair
-    verifies disjoint supports. Empty blocks are rejected outright.
+    modulus n, i.e. lies in the target field. The image of the power sum
+    at s under zeta -> zeta^a is the power sum at a*s, so each a is
+    checked by comparing those two; the first a that moves it is
+    recorded. One case per block pair verifies disjoint supports. Empty
+    blocks are rejected outright.
     """
     start = time.perf_counter()
     limits.check_order(n)
@@ -141,14 +147,11 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
         if not block.members:
             mismatches.append({"block": bi, "empty": True})
         for s in range(1, n):
-            coeffs = [0] * n
-            for j in block.members:
-                coeffs[s * j % n] += 1
-            value = CyclotomicInteger(n, tuple(coeffs))
+            value = eigenvalue(n, block.members, s)
             for a in fixers:
                 if a == 1:
                     continue
-                if not cyc_equal(galois_apply(a, value), value):
+                if not cyc_equal(eigenvalue(n, block.members, a * s % n), value):
                     mismatches.append({"block": bi, "s": s, "moved_by": a})
                     break
             cases += 1

@@ -1,0 +1,40 @@
+"""Test-local cyclotomic helpers that the library does not export.
+
+galois_apply is a reference copy of the automorphism zeta -> zeta^a on
+coefficient vectors, kept so that tests can check the identity
+sigma_a(P(s)) = P(a*s) the library relies on instead.
+"""
+
+from math import gcd
+
+from circint import CyclotomicInteger, NotAUnit
+
+
+def zero(n):
+    return CyclotomicInteger(n, (0,) * n)
+
+
+def at_root(n, poly):
+    """An integer polynomial evaluated at zeta_n: coefficient j goes into
+    slot j mod n."""
+    coeffs = [0] * n
+    for j, c in enumerate(poly):
+        coeffs[j % n] += c
+    return CyclotomicInteger(n, tuple(coeffs))
+
+
+def add(u, v):
+    return CyclotomicInteger(u.order, tuple(a + b for a, b in zip(u.coefficients, v.coefficients)))
+
+
+def galois_apply(a, u):
+    """Image of u under the automorphism sending zeta to zeta^a."""
+    n = u.order
+    a %= n
+    if gcd(a, n) != 1:
+        raise NotAUnit(f"{a} is not invertible modulo {n}")
+    out = [0] * n
+    for j, c in enumerate(u.coefficients):
+        if c:
+            out[a * j % n] += c
+    return CyclotomicInteger(n, tuple(out))

@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from circint import (
@@ -80,6 +81,12 @@ def test_field_quadratic_rejects():
     for d in (12, 8, -4, 18):
         with pytest.raises(NotSquarefree):
             field_quadratic(d)
+    for d in [*range(-2000, -1), *range(2, 2001)]:
+        if any(e > 1 for e in sympy.factorint(abs(d)).values()):
+            with pytest.raises(NotSquarefree):
+                field_quadratic(d)
+        else:
+            assert field_quadratic(d).degree == 2, d
 
 
 def test_kronecker_symbol_values():
@@ -152,7 +159,7 @@ def test_galois_subgroup_needs_lcm_not_plain_reduction():
 def test_galois_subgroup_invariants_up_to_200(field):
     for g in range(1, 201):
         sub = galois_subgroup_mod(field, g)
-        sub.validate()
+        assert all(a * b % g in sub for a in sub.elements for b in sub.elements)
         assert euler_phi(g) % len(sub) == 0
 
 

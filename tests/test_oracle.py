@@ -20,7 +20,6 @@ from circint import (
     field_gaussian,
     field_quadratic,
     field_rationals,
-    galois_apply,
     galois_subgroup_mod,
     numeric_lattice_check,
     numeric_spectrum,
@@ -28,6 +27,7 @@ from circint import (
     orbit_partition,
     parse_field,
 )
+from cyc_helpers import galois_apply
 
 ORACLE_FIELDS = ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7", "sqrt:-5",
                  "cyclo:3", "cyclo:5", "cyclo:8", "cyclo:12", "custom:13:5", "custom:20:9"]

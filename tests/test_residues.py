@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 from circint import (
     DegenerateOrder,
     LimitExceeded,
-    NotADivisor,
     NotAUnit,
     UnitSubgroup,
     euler_phi,
-    gcd_class,
     proper_divisors,
     subgroup_closure,
     units_mod,
@@ -55,21 +53,6 @@ def test_proper_divisors_degenerate():
         proper_divisors(1)
 
 
-def test_gcd_class_values():
-    assert gcd_class(6, 2) == (2, 4)
-    assert gcd_class(6, 3) == (3,)
-    assert gcd_class(8, 1) == (1, 3, 5, 7)
-
-
-def test_gcd_class_rejects_non_divisors():
-    with pytest.raises(NotADivisor):
-        gcd_class(6, 4)
-    with pytest.raises(NotADivisor):
-        gcd_class(6, 6)
-    with pytest.raises(NotADivisor):
-        gcd_class(6, 0)
-
-
 def test_modulus_limit_enforced(monkeypatch):
     with pytest.raises(LimitExceeded):
         units_mod(100_001)
@@ -97,14 +80,14 @@ def test_unit_subgroup_structural_checks():
 def test_units_have_phi_many_elements(n):
     group = units_mod(n)
     assert len(group) == euler_phi(n)
-    group.validate()
+    assert all(a * b % n in group for a in group.elements for b in group.elements)
 
 
 @given(st.integers(2, 300))
 def test_gcd_classes_partition_the_range(n):
     seen = set()
     for p in proper_divisors(n):
-        cls = gcd_class(n, p)
+        cls = tuple(x for x in range(1, n) if gcd(x, n) == p)
         assert len(cls) == euler_phi(n // p)
         assert not seen.intersection(cls)
         seen.update(cls)
@@ -118,5 +101,5 @@ def test_closure_output_is_a_subgroup(n, data):
     units = units_mod(n).elements
     gens = data.draw(st.sets(st.sampled_from(units), max_size=4))
     group = subgroup_closure(n, gens)
-    group.validate()
+    assert all(a * b % n in group for a in group.elements for b in group.elements)
     assert set(gens) <= set(group.elements) or not gens

@@ -2,19 +2,28 @@ import json
 
 import pytest
 
+import circint.verify
 from circint import (
+    CyclotomicInteger,
     LimitExceeded,
+    OrbitBlock,
+    OrbitPartition,
     UnsupportedLattice,
+    VerificationReport,
     cross_verify,
+    cyc_equal,
     field_cyclotomic,
     field_gaussian,
     field_quadratic,
     field_rationals,
+    galois_subgroup_mod,
     lattice_cross_verify,
     lemma1_check,
     limits,
     orbit_partition,
+    parse_field,
 )
+from cyc_helpers import galois_apply
 
 
 def test_cross_verify_exhaustive_counts():
@@ -74,6 +83,73 @@ def test_lattice_cross_verify():
     assert rep.passed and rep.seed == 9
     with pytest.raises(UnsupportedLattice):
         lattice_cross_verify(10, field_quadratic(2))
+
+
+def test_lattice_is_chosen_by_the_field_not_its_spelling():
+    for spec in ("cyclo:1", "cyclo:2", "custom:8:3,5", "custom:12:5,7"):
+        rep = lattice_cross_verify(8, parse_field(spec))
+        assert rep.passed and rep.field == spec and rep.cases_checked == 128
+        assert rep.to_json(include_elapsed=False) == {
+            **lattice_cross_verify(8, field_rationals()).to_json(include_elapsed=False), "field": spec}
+    # n = 8 has sets such as {1, 3}, integral over Q(i) but not over Q, so
+    # the rational lattice would report mismatches here
+    for spec in ("cyclo:4", "sqrt:-1", "custom:8:5", "custom:12:5", "custom:20:9,13"):
+        rep = lattice_cross_verify(8, parse_field(spec))
+        assert rep.passed and rep.field == spec and rep.cases_checked == 128
+    for spec in ("sqrt:-3", "sqrt:2", "cyclo:3", "cyclo:8"):
+        with pytest.raises(UnsupportedLattice):
+            lattice_cross_verify(8, parse_field(spec))
+
+
+def galois_lemma1_check(n, field):
+    """Reference: lemma1_check as it was when it applied every fixing
+    automorphism to the power-sum vector with galois_apply."""
+    part = circint.verify.orbit_partition(n, field)
+    fixers = galois_subgroup_mod(field, n).elements
+    cases = 0
+    mismatches = []
+    for bi, block in enumerate(part.blocks):
+        if not block.members:
+            mismatches.append({"block": bi, "empty": True})
+        for s in range(1, n):
+            coeffs = [0] * n
+            for j in block.members:
+                coeffs[s * j % n] += 1
+            value = CyclotomicInteger(n, tuple(coeffs))
+            for a in fixers:
+                if a == 1:
+                    continue
+                if not cyc_equal(galois_apply(a, value), value):
+                    mismatches.append({"block": bi, "s": s, "moved_by": a})
+                    break
+            cases += 1
+    for i in range(len(part.blocks)):
+        si = set(part.blocks[i].members)
+        for j in range(i + 1, len(part.blocks)):
+            overlap = si.intersection(part.blocks[j].members)
+            if overlap:
+                mismatches.append({"blocks": [i, j], "overlap": sorted(overlap)})
+            cases += 1
+    return VerificationReport(n, field.describe(), "lemma1", cases, tuple(mismatches), None, 0)
+
+
+def test_lemma1_reports_corrupted_partitions_like_the_galois_reference(monkeypatch):
+    field = field_gaussian()
+    good = orbit_partition(24, field)
+    blocks = [(b.divisor, b.members) for b in good.blocks]
+    assert blocks[:2] == [(1, (1, 5, 13, 17)), (1, (7, 11, 19, 23))]
+    corrupted = [
+        [(1, (1, 5, 7, 11)), (1, (13, 17, 19, 23))] + blocks[2:],  # regrouped: two orbits per block
+        [(1, (1, 5)), (1, (7, 11, 13, 17, 19, 23))] + blocks[2:],  # split one block, merge into the next
+        blocks[:1] + blocks,  # duplicated block: overlapping supports
+    ]
+    for bad in corrupted:
+        part = OrbitPartition(24, field, tuple(OrbitBlock(p, ms) for p, ms in bad))
+        monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k, part=part: part)
+        rep = lemma1_check(24, field)
+        assert not rep.passed
+        assert rep.to_json(include_elapsed=False) == galois_lemma1_check(24, field).to_json(include_elapsed=False)
+    assert any("overlap" in m for m in rep.mismatches)
 
 
 def test_report_json_shape():
