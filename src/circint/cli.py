@@ -75,8 +75,8 @@ def _parse_set_spec(text: str, n: int, field) -> list[int]:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo_s, _, hi_s = text.partition("..")
-    if not hi_s:
+    lo_s, sep, hi_s = text.partition("..")
+    if not sep:
         hi_s = lo_s
     try:
         lo, hi = int(lo_s), int(hi_s)

@@ -60,9 +60,7 @@ def field_cyclotomic(m: int) -> AbelianField:
     if m < 1:
         raise DegenerateOrder(f"cyclotomic field needs m >= 1, got {m}")
     limits.check_modulus(m)
-    if m == 1:
-        return AbelianField(1, UnitSubgroup(1, (0,)), label="cyclo:1")
-    return AbelianField(m, UnitSubgroup(m, (1,)), label=f"cyclo:{m}")
+    return AbelianField(m, UnitSubgroup(m, (1 % m,)), label=f"cyclo:{m}")
 
 
 def field_quadratic(d: int) -> AbelianField:
@@ -137,10 +135,8 @@ def galois_subgroup_mod(field: AbelianField, g: int) -> UnitSubgroup:
 
 @lru_cache(maxsize=256)  # bounded; only the oracle and lemma1_check call it, at g = n <= 10^4
 def _galois_subgroup_cached(field: AbelianField, g: int) -> UnitSubgroup:
-    if g == 1:
-        return UnitSubgroup(1, (0,))
     d, allowed = _fixing_mod(field, g)
-    return UnitSubgroup(g, tuple(b for b in range(1, g) if b % d in allowed and gcd(b, g) == 1))
+    return UnitSubgroup(g, tuple(b for b in range(g) if b % d in allowed and gcd(b, g) == 1))
 
 
 def _fixing_mod(field: AbelianField, g: int) -> tuple[int, frozenset[int]]:

@@ -109,14 +109,10 @@ def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
         raise TooManyOrbits(f"2^{r} = {total} sets exceeds budget {cap}; pass a limit")
 
     def _generate():
-        emitted = 0
-        for mask in range(total):
-            if limit is not None and emitted >= limit:
-                return
+        for mask in range(total if limit is None else min(total, limit)):
             members = sorted(chain.from_iterable(
                 b.members for i, b in enumerate(part.blocks) if mask >> i & 1))
             yield CirculantSpec(n, tuple(members))
-            emitted += 1
 
     return _generate()
 

@@ -23,10 +23,6 @@ from .fields import AbelianField, galois_subgroup_mod
 RATIONAL_LATTICE = "rational-integers"
 GAUSSIAN_LATTICE = "gaussian-integers"
 
-# Entries of the frequency-by-member matrix evaluated at once by
-# numeric_spectrum; a chunk of complex128 temporaries stays near 16 MB each.
-NUMERIC_CHUNK_ENTRIES = 1 << 20
-
 
 def oracle_is_integral(spec, field: AbelianField) -> bool:
     """True iff every adjacency eigenvalue of D(n, S) is fixed by every
@@ -58,23 +54,19 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
 
 
 def numeric_spectrum(spec) -> list[complex]:
-    """Floating-point eigenvalues: the DFT of the connection-set indicator,
-    with the eigenvalue at frequency r in position r.
+    """Floating-point eigenvalues, with the eigenvalue at frequency r in
+    position r.
 
-    Frequencies are evaluated in row chunks of at most NUMERIC_CHUNK_ENTRIES
-    matrix entries, so memory stays bounded; each row is summed on its own,
-    so the values do not depend on the chunking.
+    The eigenvalue sum over s in S of zeta_n^(r*s) is the complex conjugate
+    of the DFT of the indicator vector of S, so one FFT gives all n of them
+    in O(n log n); at n <= 500 each is within about 1e-13 of its exactly
+    rounded value.
     """
     import numpy as np  # deferred: only the numeric paths pay its import time
 
-    n = spec.order
-    rs = np.arange(n).reshape(-1, 1)
-    ss = np.array(spec.connection_set, dtype=float).reshape(1, -1)
-    rows = max(1, NUMERIC_CHUNK_ENTRIES // max(1, ss.size))
-    out: list[complex] = []
-    for lo in range(0, n, rows):
-        out.extend(np.exp(2j * np.pi * rs[lo:lo + rows] * ss / n).sum(axis=1).tolist())
-    return out
+    indicator = np.zeros(spec.order)
+    indicator[list(spec.connection_set)] = 1
+    return np.fft.fft(indicator).conj().tolist()
 
 
 def numeric_lattice_check(spec, lattice: str, tol: float) -> bool:

@@ -18,10 +18,10 @@ from .errors import DegenerateOrder, NotAUnit
 class UnitSubgroup:
     """A multiplicatively closed set of residues modulo ``modulus``.
 
-    Elements are stored strictly increasing. The trivial group modulo 1 is
-    the single residue 0. Construction runs the cheap structural checks
-    (identity, range, units, inverses); closure under products is not
-    checked.
+    Elements are units in [0, modulus), stored strictly increasing, so the
+    group modulo 1 is the single residue 0. Construction runs the cheap
+    structural checks (identity, range, units, inverses); closure under
+    products is not checked.
     """
 
     modulus: int
@@ -32,16 +32,12 @@ class UnitSubgroup:
         if g < 1:
             raise DegenerateOrder(f"modulus must be positive, got {g}")
         els = self.elements
-        if g == 1:
-            if els != (0,):
-                raise ValueError("the group modulo 1 is represented as (0,)")
-            return
         if not els or list(els) != sorted(set(els)):
             raise ValueError("elements must be strictly increasing")
-        if els[0] < 1 or els[-1] >= g:
-            raise ValueError(f"elements must lie in [1, {g})")
-        if 1 not in self._member_set:
-            raise ValueError("missing identity 1")
+        if els[0] < 1 % g or els[-1] >= g:
+            raise ValueError(f"elements must lie in [{1 % g}, {g})")
+        if 1 % g not in self._member_set:
+            raise ValueError(f"missing identity {1 % g}")
         for e in els:
             if gcd(e, g) != 1:
                 raise NotAUnit(f"{e} is not a unit modulo {g}")
@@ -90,9 +86,7 @@ def units_mod(n: int) -> UnitSubgroup:
     if n < 1:
         raise DegenerateOrder(f"units_mod needs n >= 1, got {n}")
     limits.check_modulus(n)
-    if n == 1:
-        return UnitSubgroup(1, (0,))
-    return UnitSubgroup(n, tuple(x for x in range(1, n) if gcd(x, n) == 1))
+    return UnitSubgroup(n, tuple(x for x in range(n) if gcd(x, n) == 1))
 
 
 def subgroup_closure(n: int, generators) -> UnitSubgroup:
@@ -101,16 +95,14 @@ def subgroup_closure(n: int, generators) -> UnitSubgroup:
     if n < 1:
         raise DegenerateOrder(f"subgroup_closure needs n >= 1, got {n}")
     limits.check_modulus(n)
-    if n == 1:
-        return UnitSubgroup(1, (0,))
     gens = []
     for gen in generators:
         r = gen % n
         if gcd(r, n) != 1:
             raise NotAUnit(f"generator {gen} shares a factor with {n}")
         gens.append(r)
-    members = {1}
-    frontier = [1]
+    members = {1 % n}
+    frontier = [1 % n]
     while frontier:
         x = frontier.pop()
         for a in gens:

@@ -238,6 +238,12 @@ def test_bad_range(capsys):
     assert code == 2 and "range" in err
 
 
+@pytest.mark.parametrize("text", ["5..", "..5", "5...6"])
+def test_range_needs_both_ends(capsys, text):
+    code, out, err = run_cli(capsys, "verify", text, "--field", "Q", "--exhaustive")
+    assert code == 2 and out == "" and "range" in err
+
+
 def test_partition_rejects_single_vertex(capsys):
     code, _, err = run_cli(capsys, "partition", "1", "--field", "Q")
     assert code == 2 and "n >= 2" in err

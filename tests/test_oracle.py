@@ -1,9 +1,11 @@
 import ast
 import cmath
+import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,20 +177,29 @@ def test_numeric_spectrum_matches_exact_evaluation():
             assert abs(values[r] - eval_exact_at_unit_circle(n, members, r)) < 1e-9
 
 
-def test_numeric_spectrum_chunks_are_bitwise_unchunked(monkeypatch):
-    def unchunked(spec):
-        n = spec.order
-        rs = np.arange(n).reshape(-1, 1)
-        ss = np.array(spec.connection_set, dtype=float).reshape(1, -1)
-        return np.exp(2j * np.pi * rs * ss / n).sum(axis=1).tolist()
+def reduced_angle_reference(n, members, r):
+    """The eigenvalue at frequency r from cos and sin at the reduced angles
+    2*pi*(r*s mod n)/n, each sum taken exactly rounded by math.fsum."""
+    angles = [2 * math.pi * (r * s % n) / n for s in members]
+    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
-    rng = random.Random(3)
-    specs = [CirculantSpec.of(n, rng.sample(range(1, n), k))
-             for n, k in ((2, 1), (7, 0), (50, 3), (97, 40), (300, 299), (1000, 333))]
-    for entries in (1, 5, 64, 1000):
-        monkeypatch.setattr(circint.oracle, "NUMERIC_CHUNK_ENTRIES", entries)
-        for spec in specs:
-            assert numeric_spectrum(spec) == unchunked(spec)
+
+def test_numeric_spectrum_is_accurate():
+    rng = random.Random(5)
+    specs = [CirculantSpec.of(99991, [1, 2, 99990])]
+    for _ in range(60):
+        n = rng.randint(2, 500)
+        specs.append(CirculantSpec.of(n, rng.sample(range(1, n), rng.randint(0, n - 1))))
+    for spec in specs:
+        n, members = spec.order, spec.connection_set
+        values = numeric_spectrum(spec)
+        assert max(abs(values[r] - reduced_angle_reference(n, members, r)) for r in range(n)) < 1e-12
+
+
+def test_numeric_spectrum_reaches_the_documented_order():
+    script = ("from circint import CirculantSpec, numeric_spectrum\n"
+              "assert len(numeric_spectrum(CirculantSpec(99991, tuple(range(1, 10001))))) == 99991\n")
+    subprocess.run([sys.executable, "-c", script], timeout=30, check=True)
 
 
 def test_lattice_check_examples():

@@ -34,6 +34,8 @@ def test_subgroup_closure_examples():
     assert subgroup_closure(12, set()).elements == (1,)
     # powers of 3 mod 7: 3, 2, 6, 4, 5, 1 -> the full unit group
     assert subgroup_closure(7, {3}).elements == (1, 2, 3, 4, 5, 6)
+    # every residue is 0 modulo 1
+    assert subgroup_closure(1, {5}).elements == (0,)
 
 
 def test_subgroup_closure_rejects_non_units():
@@ -72,6 +74,8 @@ def test_unit_subgroup_structural_checks():
         UnitSubgroup(8, (1, 5, 3))  # not increasing
     with pytest.raises(ValueError):
         UnitSubgroup(1, (1,))  # trivial group is (0,)
+    with pytest.raises(ValueError):
+        UnitSubgroup(8, (0, 1))  # 0 is a unit only modulo 1
     with pytest.raises(ValueError):
         UnitSubgroup(7, (1, 2))  # 2*2=4 escapes, caught via missing inverse
 

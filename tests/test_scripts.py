@@ -1,0 +1,20 @@
+import subprocess
+import sys
+from pathlib import Path
+
+from circint import count_integral, parse_field, r_count
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_orbit_census_rows_match_the_library():
+    names = ["Q", "Qi", "cyclo:1"]
+    run = subprocess.run([sys.executable, str(SCRIPTS / "orbit_census.py"), "--lo", "2", "--hi", "12",
+                          "--fields", ",".join(names)], capture_output=True, text=True, timeout=60, check=True)
+    header, *rows = [line.split("\t") for line in run.stdout.splitlines()]
+    assert header == ["n"] + [f"r({name})" for name in names] + [f"2^r({name})" for name in names]
+    assert [int(row[0]) for row in rows] == list(range(2, 13))
+    fields = [parse_field(name) for name in names]
+    for row in rows:
+        n = int(row[0])
+        assert [int(v) for v in row[1:]] == [r_count(n, k) for k in fields] + [count_integral(n, k) for k in fields]
