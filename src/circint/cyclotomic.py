@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from operator import sub
 
 from . import limits
 from .errors import DegenerateOrder, OrderMismatch, OutOfRange
@@ -99,7 +100,7 @@ def cyc_equal(u: CyclotomicInteger, v: CyclotomicInteger) -> bool:
         raise OrderMismatch(f"orders {u.order} and {v.order}")
     if u.coefficients == v.coefficients:
         return True
-    diff = tuple(a - b for a, b in zip(u.coefficients, v.coefficients))
+    diff = tuple(map(sub, u.coefficients, v.coefficients))
     return not any(_reduce(u.order, diff))
 
 

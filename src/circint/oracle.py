@@ -2,7 +2,8 @@
 
 The exact path decides integrality straight from the definition: every
 eigenvalue lies in the order-n cyclotomic ring, so it lies in the target
-field exactly when the field's Galois subgroup at modulus n fixes it.
+field exactly when the field's Galois subgroup H at modulus n fixes it,
+outright when its coefficients are constant on the H-orbits of positions.
 This file deliberately knows nothing about orbit blocks; it is the
 independent side of every cross-check.
 
@@ -14,6 +15,8 @@ overrule the exact decision.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import itemgetter
 
 from . import limits
 from .cyclotomic import cyc_equal, eigenvalue
@@ -29,28 +32,42 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
     element of the field's Galois subgroup H at modulus n, decided in exact
     cyclotomic arithmetic.
 
-    The automorphism zeta -> zeta^h sends the eigenvalue at frequency r to
-    the eigenvalue at h*r mod n, so the frequencies are walked in H-orbits
-    and each orbit member's eigenvalue is compared with that of the orbit's
-    first frequency. Every eigenvalue is built once; when S is H-stable the
-    compared coefficient vectors coincide and nothing is reduced.
+    The automorphism zeta -> zeta^h moves coefficient k to position h*k
+    mod n and sends the eigenvalue at frequency r to the one at h*r mod n.
+    So one eigenvalue is built per H-orbit of frequencies, at its least
+    member; if its coefficients are constant on the H-orbits of positions,
+    no element of H moves it. Otherwise it is compared exactly with the
+    eigenvalue at each other orbit member, until one differs.
     """
     n = spec.order
     limits.check_order(n)
-    fixers = galois_subgroup_mod(field, n).elements
-    seen = bytearray(n)
-    for r in range(n):
-        if seen[r]:
+    orbits, spread = _frequency_orbits(galois_subgroup_mod(field, n))
+    for orbit in orbits:
+        lam = eigenvalue(n, spec.connection_set, orbit[0])
+        if spread(lam.coefficients) == lam.coefficients:
             continue
-        seen[r] = 1
-        lam = eigenvalue(n, spec.connection_set, r)
-        for h in fixers:
-            m = h * r % n
-            if not seen[m]:
-                seen[m] = 1
-                if not cyc_equal(eigenvalue(n, spec.connection_set, m), lam):
-                    return False
+        for m in orbit[1:]:
+            if not cyc_equal(eigenvalue(n, spec.connection_set, m), lam):
+                return False
     return True
+
+
+@lru_cache(maxsize=256)  # bounded, as the Galois subgroup cache it is keyed on
+def _frequency_orbits(group):
+    """Orbits of {0, ..., g-1} under a subgroup of the units mod g, each its
+    least member r then the other h*r mod g by first appearance over the
+    increasing elements h; and spread, a gather with spread(v) == v exactly
+    when the length-g vector v is constant on every orbit."""
+    g = group.modulus
+    leader_of = [None] * g
+    orbits = []
+    for r in range(g):
+        if leader_of[r] is None:
+            orbit = tuple(dict.fromkeys([h * r % g for h in group.elements]))
+            for m in orbit:
+                leader_of[m] = r
+            orbits.append(orbit)
+    return tuple(orbits), itemgetter(*leader_of)
 
 
 def numeric_spectrum(spec) -> list[complex]:

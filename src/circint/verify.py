@@ -5,9 +5,8 @@ eigenvalue oracle side by side over subsets of {1, ..., n-1}, either
 exhaustively or on seeded random samples (each subset drawn as n-1
 independent fair bits, bit i covering residue i+1). lemma1_check tests
 the structural properties the block construction promises: every block's
-power sum P_B(s) is fixed by the Galois subgroup at modulus n, checked as
-P_B(a*s) = P_B(s) for each a in it since sigma_a(P_B(s)) = P_B(a*s), and
-blocks have pairwise disjoint nonempty supports.
+power sum P_B(s) is fixed by the Galois subgroup at modulus n, and blocks
+have pairwise disjoint nonempty supports.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from .cyclotomic import cyc_equal, eigenvalue
 from .errors import DegenerateOrder, LimitExceeded, UnsupportedLattice
 from .fields import AbelianField, _fixing_mod, galois_subgroup_mod
 from .integrality import CirculantSpec, is_integral
-from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, numeric_lattice_check, oracle_is_integral
+from .oracle import (GAUSSIAN_LATTICE, RATIONAL_LATTICE, _frequency_orbits, numeric_lattice_check,
+                     oracle_is_integral)
 from .orbits import orbit_partition
 
 
@@ -131,30 +131,38 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
 
     One case per (block, frequency) pair verifies that the block's
     power sum at that frequency is fixed by the whole Galois subgroup at
-    modulus n, i.e. lies in the target field. The image of the power sum
-    at s under zeta -> zeta^a is the power sum at a*s, so each a is
-    checked by comparing those two; the first a that moves it is
-    recorded. One case per block pair verifies disjoint supports. Empty
-    blocks are rejected outright.
+    modulus n, i.e. lies in the target field: outright when its
+    coefficients are constant on the orbits of that subgroup H, which at
+    s = 1 settles every s (the power sum at s is the image of the one at 1
+    under k -> s*k mod n, which commutes with multiplication by H).
+    Otherwise, since the image of the power sum at s under zeta -> zeta^a
+    is the power sum at a*s, each a is checked by comparing those two; the
+    first a that moves it is recorded. One case per block pair verifies
+    disjoint supports. Empty blocks are rejected outright.
     """
     start = time.perf_counter()
     limits.check_order(n)
     part = orbit_partition(n, field)
     fixers = galois_subgroup_mod(field, n).elements
+    _, spread = _frequency_orbits(galois_subgroup_mod(field, n))
     cases = 0
     mismatches = []
     for bi, block in enumerate(part.blocks):
         if not block.members:
             mismatches.append({"block": bi, "empty": True})
+        cases += n - 1
         for s in range(1, n):
             value = eigenvalue(n, block.members, s)
+            if spread(value.coefficients) == value.coefficients:
+                if s == 1:  # then so is the power sum at every s
+                    break
+                continue
             for a in fixers:
                 if a == 1:
                     continue
                 if not cyc_equal(eigenvalue(n, block.members, a * s % n), value):
                     mismatches.append({"block": bi, "s": s, "moved_by": a})
                     break
-            cases += 1
     for i in range(len(part.blocks)):
         si = set(part.blocks[i].members)
         for j in range(i + 1, len(part.blocks)):

@@ -110,15 +110,46 @@ def test_orbit_walk_matches_reference_oracle():
 
 
 def test_oracle_reduces_nothing_on_block_unions(monkeypatch):
+    # one eigenvalue is built per H-orbit of frequencies, at its least member
     counter = ReduceCounter(monkeypatch)
+    built = []
+    original = circint.oracle.eigenvalue
+    monkeypatch.setattr(circint.oracle, "eigenvalue", lambda n, ms, r: built.append(r) or original(n, ms, r))
     rng = random.Random(7)
     for spec_text in ("Q", "Qi", "sqrt:-7", "cyclo:12"):
         field = parse_field(spec_text)
         for n in (12, 35, 64, 97, 120):
+            fixers = galois_subgroup_mod(field, n).elements
+            leaders = sorted({min(h * r % n for h in fixers) for r in range(n)})
             unions, _, _ = seeded_sets(n, field, rng)
             for members in unions:
+                built.clear()
                 assert oracle_is_integral(CirculantSpec.of(n, members), field)
+                assert built == leaders
     assert counter.calls == 0
+
+
+@pytest.mark.parametrize("spec_text, reductions",
+                         [("Q", (51, 61, 41)), ("Qi", (51, 61, 41)), ("sqrt:-7", (41, 49, 29))])
+def test_oracle_reduces_each_distinct_frequency_at_most_once(monkeypatch, spec_text, reductions):
+    # for S = {s = 1 mod 7} many eigenvalues of one orbit are equal as
+    # numbers but not as coefficient vectors, so the orbits need reductions;
+    # the bounds are the counts of a walk comparing each distinct orbit
+    # member once with its orbit's first frequency (at n = 63 a walk over
+    # h*r for every h in H, repeats included, makes 61, 61 and 37)
+    field = parse_field(spec_text)
+    for n, bound in zip((77, 91, 63), reductions):
+        spec = CirculantSpec.of(n, range(1, n, 7))
+        counter = ReduceCounter(monkeypatch)
+        assert not oracle_is_integral(spec, field)
+        assert counter.calls <= bound
+        assert not reference_oracle(spec, field)
+
+
+def test_oracle_reaches_the_exact_order_bound():
+    script = ("from circint import CirculantSpec, field_rationals, oracle_is_integral\n"
+              "assert oracle_is_integral(CirculantSpec(10000, tuple(range(1, 10000))), field_rationals())\n")
+    subprocess.run([sys.executable, "-c", script], timeout=5, check=True)
 
 
 def test_oracle_reduces_at_most_once_per_eigenvalue(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import circint.cyclotomic
 import circint.fields
+import circint.oracle
 import circint.orbits
 from circint import (
     CirculantSpec,
@@ -147,7 +148,7 @@ def test_orders_past_the_conductor_lcm(n, spec):
 def test_caches_are_bounded():
     # a sweep over many orders must not keep every partition and subgroup
     for cached in (circint.orbits._partition_cached, circint.fields._galois_subgroup_cached,
-                   circint.cyclotomic._cyclotomic):
+                   circint.cyclotomic._cyclotomic, circint.oracle._frequency_orbits):
         maxsize = cached.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
 

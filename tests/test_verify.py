@@ -133,6 +133,16 @@ def galois_lemma1_check(n, field):
     return VerificationReport(n, field.describe(), "lemma1", cases, tuple(mismatches), None, 0)
 
 
+@pytest.mark.parametrize("spec", ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7",
+                                  "cyclo:3", "cyclo:8", "cyclo:12", "custom:21:4,5"])
+def test_lemma1_matches_the_galois_reference(spec):
+    field = parse_field(spec)
+    for n in range(2, 41):
+        rep = lemma1_check(n, field)
+        assert rep.passed
+        assert rep.to_json(include_elapsed=False) == galois_lemma1_check(n, field).to_json(include_elapsed=False)
+
+
 def test_lemma1_reports_corrupted_partitions_like_the_galois_reference(monkeypatch):
     field = field_gaussian()
     good = orbit_partition(24, field)
