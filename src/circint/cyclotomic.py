@@ -2,16 +2,18 @@
 
 A value of order n is a redundant length-n integer vector: the coefficients
 of 1, zeta, ..., zeta^{n-1} for zeta = exp(2*pi*i/n). Distinct vectors can
-denote the same number; semantic equality (cyc_equal) divides the
-difference by the n-th cyclotomic polynomial and checks for zero remainder.
-Coefficients are plain Python integers, so no overflow is possible.
+denote the same number; semantic equality (cyc_equal) clears the
+difference along cosets of roots of unity that sum to zero and checks that
+nothing is left, while reduce_coefficients divides by the n-th cyclotomic
+polynomial. Coefficients are plain Python integers, so no overflow is
+possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, cycle
 from math import prod
 from operator import sub
 
@@ -94,14 +96,49 @@ def reduce_coefficients(u: CyclotomicInteger) -> tuple[int, ...]:
 
 
 def cyc_equal(u: CyclotomicInteger, v: CyclotomicInteger) -> bool:
-    """Semantic equality: the difference reduces to zero modulo the
-    cyclotomic polynomial of the common order."""
+    """Semantic equality: the difference is zero in the cyclotomic ring of
+    the common order, tested by _is_zero."""
     if u.order != v.order:
         raise OrderMismatch(f"orders {u.order} and {v.order}")
     if u.coefficients == v.coefficients:
         return True
-    diff = tuple(map(sub, u.coefficients, v.coefficients))
-    return not any(_reduce(u.order, diff))
+    return _is_zero(u.order, list(map(sub, u.coefficients, v.coefficients)))
+
+
+def _is_zero(n: int, coeffs: list[int]) -> bool:
+    """True iff the sum of coeffs[k] * zeta_n^k is zero, in O(n * omega(n)).
+
+    For each prime p dividing n, every coset {k + j*n/p : 0 <= j < p} sums
+    to zero, so subtracting from each coset the coefficient of its
+    designated member changes no value. All members of a coset for p share
+    their residue mod q^b for every other prime q, so a coset already
+    cleared for q stays cleared. What is left lies on the phi(n) positions
+    designated for no prime, whose powers of zeta_n are a basis (W. Bosma,
+    "Canonical bases for cyclotomic fields", 1990).
+    """
+    for designated in _coset_plan(n):
+        top = [coeffs[i] for i in designated]
+        coeffs = list(map(sub, coeffs, cycle(top)))
+    return not any(coeffs)
+
+
+@lru_cache(maxsize=256)  # bounded, as _cyclotomic: one plan per order compared
+def _coset_plan(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per prime p dividing n, the designated member of each coset
+    {k + j*n/p}, 0 <= k < n/p: the one whose residue mod p^a (p^a exactly
+    dividing n) has top base-p digit p - 1."""
+    plan = []
+    for p in _prime_factors(n):
+        width, q = n // p, p
+        while n % (q * p) == 0:
+            q *= p
+        lead = q // p
+        designated = [0] * width
+        for x in range((p - 1) * lead, n, q):
+            for y in range(x, x + lead):
+                designated[y % width] = y
+        plan.append(tuple(designated))
+    return tuple(plan)
 
 
 def eigenvalue(n: int, connection_set, r: int) -> CyclotomicInteger:

@@ -19,7 +19,7 @@ from math import gcd, prod
 
 from . import limits
 from .errors import BothZero, DegenerateInput, DegenerateOrder, FieldSpecError, NotSquarefree
-from .residues import UnitSubgroup, _prime_factors, euler_phi, subgroup_closure, units_mod
+from .residues import UnitSubgroup, _euler_phi, _prime_factors, euler_phi, subgroup_closure
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class AbelianField:
     @property
     def degree(self) -> int:
         """Dimension of the field over the rationals."""
-        return euler_phi(self.conductor) // len(self.fixing_subgroup)
+        return _euler_phi(self.conductor) // len(self.fixing_subgroup)
 
     def describe(self) -> str:
         """Display/JSON name; falls back to a parseable custom spec."""
@@ -78,7 +78,7 @@ def field_quadratic(d: int) -> AbelianField:
     limits.check_modulus(m)
     if prod(_prime_factors(abs(d))) != abs(d):
         raise NotSquarefree(f"{d} has a square factor")
-    members = tuple(a for a in units_mod(m).elements if kronecker_symbol(disc, a) == 1)
+    members = tuple(a for a in range(1, m) if gcd(a, m) == 1 and kronecker_symbol(disc, a) == 1)
     k = AbelianField(m, UnitSubgroup(m, members), label=f"sqrt:{d}")
     assert k.degree == 2
     return k
@@ -133,7 +133,7 @@ def galois_subgroup_mod(field: AbelianField, g: int) -> UnitSubgroup:
     return _galois_subgroup_cached(field, g)
 
 
-@lru_cache(maxsize=256)  # bounded; only the oracle and lemma1_check call it, at g = n <= 10^4
+@lru_cache(maxsize=256)  # bounded; only the oracle and lemma1_check call it, at g | n <= 10^4
 def _galois_subgroup_cached(field: AbelianField, g: int) -> UnitSubgroup:
     d, allowed = _fixing_mod(field, g)
     return UnitSubgroup(g, tuple(b for b in range(g) if b % d in allowed and gcd(b, g) == 1))

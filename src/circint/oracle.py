@@ -1,11 +1,11 @@
 """Eigenvalue-level integrality oracle, plus floating-point sanity checks.
 
 The exact path decides integrality straight from the definition: every
-eigenvalue lies in the order-n cyclotomic ring, so it lies in the target
-field exactly when the field's Galois subgroup H at modulus n fixes it,
-outright when its coefficients are constant on the H-orbits of positions.
-This file deliberately knows nothing about orbit blocks; it is the
-independent side of every cross-check.
+eigenvalue lies in a cyclotomic ring, so it lies in the target field
+exactly when the field's Galois subgroup H fixes it, outright when its
+coefficients are constant on the H-orbits of positions. This file
+deliberately knows nothing about orbit blocks; it is the independent side
+of every cross-check.
 
 The numeric helpers are advisory only. Sums of roots of unity can sit
 close to lattice points by accident, so nothing here lets floating point
@@ -19,9 +19,10 @@ from functools import lru_cache
 from operator import itemgetter
 
 from . import limits
-from .cyclotomic import cyc_equal, eigenvalue
+from .cyclotomic import CyclotomicInteger, cyc_equal
 from .errors import UnsupportedLattice
-from .fields import AbelianField, galois_subgroup_mod
+from .fields import AbelianField, _galois_subgroup_cached
+from .residues import _proper_divisors
 
 RATIONAL_LATTICE = "rational-integers"
 GAUSSIAN_LATTICE = "gaussian-integers"
@@ -32,42 +33,59 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
     element of the field's Galois subgroup H at modulus n, decided in exact
     cyclotomic arithmetic.
 
-    The automorphism zeta -> zeta^h moves coefficient k to position h*k
-    mod n and sends the eigenvalue at frequency r to the one at h*r mod n.
-    So one eigenvalue is built per H-orbit of frequencies, at its least
-    member; if its coefficients are constant on the H-orbits of positions,
-    no element of H moves it. Otherwise it is compared exactly with the
-    eigenvalue at each other orbit member, until one differs.
+    zeta -> zeta^h sends the eigenvalue at frequency r to the one at h*r,
+    so all are fixed outright when h*S = S for every h in H. Otherwise, as
+    the eigenvalue at d*u, u a unit, is the image of the one at d and the
+    Galois group is abelian, only the proper divisors d of n are tested.
+    The eigenvalue at d has order m = n/d, its coefficients the counts of
+    S mod m, and H acts on it as the Galois subgroup at modulus m. It is
+    fixed outright when the counts are constant on the orbits of that
+    subgroup; else it is compared with its image under each other element,
+    until one differs. The orders m are taken increasing, shortest first.
     """
     n = spec.order
     limits.check_order(n)
-    orbits, spread = _frequency_orbits(galois_subgroup_mod(field, n))
-    for orbit in orbits:
-        lam = eigenvalue(n, spec.connection_set, orbit[0])
-        if spread(lam.coefficients) == lam.coefficients:
+    limits.check_modulus(n)
+    gathers = _divisor_gathers(field, n)
+    indicator = bytearray(n)
+    for s in spec.connection_set:
+        indicator[s] = 1
+    whole = tuple(indicator)
+    _, _, spread = gathers[-1]
+    if spread(whole) == whole:
+        return True
+    for m, fixers, spread in gathers:
+        counts = whole if m == n else tuple([sum(indicator[k::m]) for k in range(m)])
+        if spread(counts) == counts:
             continue
-        for m in orbit[1:]:
-            if not cyc_equal(eigenvalue(n, spec.connection_set, m), lam):
+        lam = CyclotomicInteger(m, counts)
+        for h in fixers[1:]:
+            # zeta_m -> zeta_m^h moves coefficient k to position h*k mod m
+            inverse = pow(h, -1, m)
+            image = tuple(counts[j * inverse % m] for j in range(m))
+            if not cyc_equal(CyclotomicInteger(m, image), lam):
                 return False
     return True
 
 
-@lru_cache(maxsize=256)  # bounded, as the Galois subgroup cache it is keyed on
-def _frequency_orbits(group):
-    """Orbits of {0, ..., g-1} under a subgroup of the units mod g, each its
-    least member r then the other h*r mod g by first appearance over the
-    increasing elements h; and spread, a gather with spread(v) == v exactly
-    when the length-g vector v is constant on every orbit."""
-    g = group.modulus
-    leader_of = [None] * g
-    orbits = []
-    for r in range(g):
-        if leader_of[r] is None:
-            orbit = tuple(dict.fromkeys([h * r % g for h in group.elements]))
-            for m in orbit:
-                leader_of[m] = r
-            orbits.append(orbit)
-    return tuple(orbits), itemgetter(*leader_of)
+@lru_cache(maxsize=256)  # bounded, as the Galois subgroup cache it reads
+def _divisor_gathers(field: AbelianField, n: int):
+    """For each divisor m > 1 of n, increasing, so ending at m = n: m, the
+    elements of the field's Galois subgroup H at modulus m, ascending, and
+    spread, a gather with spread(v) == v exactly when the length-m vector v
+    is constant on the H-orbits of {0, ..., m-1}, that is, when no element
+    of H moves the value of order m that v denotes."""
+    gathers = []
+    for d in reversed(_proper_divisors(n)):
+        m = n // d
+        elements = _galois_subgroup_cached(field, m).elements
+        leader_of = [None] * m
+        for r in range(m):
+            if leader_of[r] is None:
+                for h in elements:
+                    leader_of[h * r % m] = r
+        gathers.append((m, elements, itemgetter(*leader_of)))
+    return tuple(gathers)
 
 
 def numeric_spectrum(spec) -> list[complex]:

@@ -26,7 +26,7 @@ from operator import attrgetter, itemgetter, lt, mod
 from . import limits
 from .errors import DegenerateOrder, OutOfRange
 from .fields import AbelianField, _fixing_mod
-from .residues import _prime_factors, euler_phi, proper_divisors
+from .residues import _euler_phi, _prime_factors, _proper_divisors
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,16 @@ class OrbitPartition:
             if p in by_divisor:
                 raise ValueError("blocks out of canonical order")
             by_divisor[p] = list(map(attrgetter("members"), group))
-        if tuple(by_divisor) != proper_divisors(n):
+        if tuple(by_divisor) != _proper_divisors(n):
             raise ValueError(f"block labels are not the proper divisors of {n}, ascending")
         seen = set()
         for p, found in by_divisor.items():
             g = n // p
             d, reduced = _fixing_mod(self.field, g)
-            h = euler_phi(g) * len(reduced) // euler_phi(d)
+            h = _euler_phi(g) * len(reduced) // _euler_phi(d)
             if set(map(len, found)) != {h}:
                 raise ValueError(f"blocks over divisor {p} are not all of size {h}")
-            if len(found) != euler_phi(g) // h:
+            if len(found) != _euler_phi(g) // h:
                 raise ValueError(f"wrong number of blocks over divisor {p}")
             if h > 1:  # a single member is ascending and in its own class
                 pd = p * d
@@ -125,7 +125,7 @@ def orbit_partition(n: int, field: AbelianField) -> OrbitPartition:
 def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
     primes = _prime_factors(n)
     blocks = []
-    for p in proper_divisors(n):
+    for p in _proper_divisors(n):
         g = n // p
         d, reduced = _fixing_mod(field, g)
         unit = _coprime_flags(g, primes)
@@ -174,10 +174,11 @@ def r_count(n: int, field: AbelianField) -> int:
     of the fixing subgroup reduced mod d = gcd(conductor, n/p)."""
     if n < 2:
         raise DegenerateOrder(f"r_count needs n >= 2, got {n}")
+    limits.check_modulus(n)
     total = 0
-    for p in proper_divisors(n):
+    for p in _proper_divisors(n):
         d, reduced = _fixing_mod(field, n // p)
-        q, rem = divmod(euler_phi(d), len(reduced))
+        q, rem = divmod(_euler_phi(d), len(reduced))
         assert rem == 0
         total += q
     return total

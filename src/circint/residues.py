@@ -61,6 +61,11 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise DegenerateOrder(f"euler_phi needs n >= 1, got {n}")
     limits.check_modulus(n)
+    return _euler_phi(n)
+
+
+def _euler_phi(n: int) -> int:
+    """euler_phi without the argument checks, for moduli already checked."""
     result = n
     for q in _prime_factors(n):
         result -= result // q
@@ -118,6 +123,11 @@ def proper_divisors(n: int) -> tuple[int, ...]:
     if n < 2:
         raise DegenerateOrder(f"no proper divisors for n = {n}")
     limits.check_modulus(n)
+    return _proper_divisors(n)
+
+
+def _proper_divisors(n: int) -> tuple[int, ...]:
+    """proper_divisors without the argument checks, for orders already checked."""
     small, large = [], []
     d = 1
     while d * d <= n:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from . import limits
 from .cyclotomic import cyc_equal, eigenvalue
 from .errors import DegenerateOrder, LimitExceeded, UnsupportedLattice
-from .fields import AbelianField, _fixing_mod, galois_subgroup_mod
+from .fields import AbelianField, _fixing_mod
 from .integrality import CirculantSpec, is_integral
-from .oracle import (GAUSSIAN_LATTICE, RATIONAL_LATTICE, _frequency_orbits, numeric_lattice_check,
+from .oracle import (GAUSSIAN_LATTICE, RATIONAL_LATTICE, _divisor_gathers, numeric_lattice_check,
                      oracle_is_integral)
 from .orbits import orbit_partition
 
@@ -143,8 +143,7 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     start = time.perf_counter()
     limits.check_order(n)
     part = orbit_partition(n, field)
-    fixers = galois_subgroup_mod(field, n).elements
-    _, spread = _frequency_orbits(galois_subgroup_mod(field, n))
+    _, fixers, spread = _divisor_gathers(field, n)[-1]
     cases = 0
     mismatches = []
     for bi, block in enumerate(part.blocks):

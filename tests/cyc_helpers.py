@@ -2,12 +2,14 @@
 
 galois_apply is a reference copy of the automorphism zeta -> zeta^a on
 coefficient vectors, kept so that tests can check the identity
-sigma_a(P(s)) = P(a*s) the library relies on instead.
+sigma_a(P(s)) = P(a*s) the library relies on instead. dense_reduce and
+dense_equal are the division by the n-th cyclotomic polynomial that
+cyc_equal used before it tested zero along cosets, kept as its reference.
 """
 
 from math import gcd
 
-from circint import CyclotomicInteger, NotAUnit
+from circint import CyclotomicInteger, NotAUnit, cyclotomic_polynomial
 
 
 def zero(n):
@@ -38,3 +40,22 @@ def galois_apply(a, u):
         if c:
             out[a * j % n] += c
     return CyclotomicInteger(n, tuple(out))
+
+
+def dense_reduce(n, coeffs):
+    """Remainder of an ascending-degree coefficient vector modulo the n-th
+    cyclotomic polynomial, length phi(n)."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(deg):
+                rem[i - deg + j] -= c * phi[j]
+            rem[i] = 0
+    return tuple(rem[:deg])
+
+
+def dense_equal(u, v):
+    return not any(dense_reduce(u.order, [a - b for a, b in zip(u.coefficients, v.coefficients)]))

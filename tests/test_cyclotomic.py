@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -17,7 +18,7 @@ from circint import (
     limits,
     reduce_coefficients,
 )
-from cyc_helpers import add, at_root, galois_apply, zero
+from cyc_helpers import add, at_root, dense_reduce, galois_apply, zero
 
 
 def sympy_cyclotomic(n):
@@ -68,6 +69,30 @@ def test_cyc_equal_examples():
 def test_cyc_equal_order_mismatch():
     with pytest.raises(OrderMismatch):
         cyc_equal(zero(4), zero(8))
+
+
+def test_cyc_equal_matches_dense_reduction():
+    # u against u + z, z a seeded sum of multiples of the zero-sum cosets
+    # {k + j*n/p : 0 <= j < p}, with one more root of unity added to every
+    # other z; division by the cyclotomic polynomial is the reference
+    rng = random.Random(1990)
+    equal = 0
+    for n in [*range(1, 201), 210, 2310]:
+        for trial in range(4):
+            u = CyclotomicInteger(n, tuple(rng.randint(-2, 2) for _ in range(n)))
+            z = [0] * n
+            for p in sympy.primefactors(n):
+                for _ in range(3):
+                    k, c = rng.randrange(n // p), rng.randint(-3, 3)
+                    for j in range(p):
+                        z[k + j * n // p] += c
+            if trial % 2:
+                z[rng.randrange(n)] += 1
+            v = add(u, CyclotomicInteger(n, tuple(z)))
+            expected = not any(dense_reduce(n, [a - b for a, b in zip(u.coefficients, v.coefficients)]))
+            assert cyc_equal(u, v) == expected, (n, z)
+            equal += expected
+    assert equal == 2 * 202
 
 
 def test_construction_checks():

@@ -29,7 +29,7 @@ from circint import (
     orbit_partition,
     parse_field,
 )
-from cyc_helpers import galois_apply
+from cyc_helpers import dense_equal, galois_apply
 
 ORACLE_FIELDS = ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7", "sqrt:-5",
                  "cyclo:3", "cyclo:5", "cyclo:8", "cyclo:12", "custom:13:5", "custom:20:9"]
@@ -47,6 +47,30 @@ def reference_oracle(spec, field):
     return True
 
 
+def orbit_walk(spec, field):
+    """Reference: the oracle as it was when it built one eigenvalue per
+    H-orbit of frequencies, at its least member, and compared it by dense
+    reduction with the eigenvalue at each other distinct orbit member
+    unless its coefficients were constant on the H-orbits of positions."""
+    n = spec.order
+    fixers = galois_subgroup_mod(field, n).elements
+    orbits, leader_of = [], [None] * n
+    for r in range(n):
+        if leader_of[r] is None:
+            orbit = list(dict.fromkeys([h * r % n for h in fixers]))
+            for m in orbit:
+                leader_of[m] = r
+            orbits.append(orbit)
+    for orbit in orbits:
+        lam = eigenvalue(n, spec.connection_set, orbit[0])
+        if all(c == lam.coefficients[r] for c, r in zip(lam.coefficients, leader_of)):
+            continue
+        for m in orbit[1:]:
+            if not dense_equal(eigenvalue(n, spec.connection_set, m), lam):
+                return False
+    return True
+
+
 def seeded_sets(n, field, rng, per_kind=2):
     """Unions of blocks, one-element perturbations of them, random subsets."""
     blocks = [b.members for b in orbit_partition(n, field).blocks]
@@ -56,16 +80,16 @@ def seeded_sets(n, field, rng, per_kind=2):
     return unions, perturbed, subsets
 
 
-class ReduceCounter:
+class ZeroTestCounter:
     def __init__(self, monkeypatch):
         self.calls = 0
-        original = circint.cyclotomic._reduce
+        original = circint.cyclotomic._is_zero
 
         def counted(n, coeffs):
             self.calls += 1
             return original(n, coeffs)
 
-        monkeypatch.setattr(circint.cyclotomic, "_reduce", counted)
+        monkeypatch.setattr(circint.cyclotomic, "_is_zero", counted)
 
 
 def eval_exact_at_unit_circle(n, members, r):
@@ -93,6 +117,8 @@ def test_oracle_knows_quadratic_fields():
 
 
 def test_orbit_walk_matches_reference_oracle():
+    # the divisor walk of the library, the orbit walk it replaced and the
+    # all-eigenvalue reference agree
     rng = random.Random(20120104)
     cases = integral = 0
     for spec_text in ORACLE_FIELDS:
@@ -102,6 +128,7 @@ def test_orbit_walk_matches_reference_oracle():
                 for members in kind:
                     spec = CirculantSpec.of(n, members)
                     expected = reference_oracle(spec, field)
+                    assert orbit_walk(spec, field) == expected, (spec_text, n, members)
                     assert oracle_is_integral(spec, field) == expected, (spec_text, n, members)
                     cases += 1
                     integral += expected
@@ -110,60 +137,66 @@ def test_orbit_walk_matches_reference_oracle():
 
 
 def test_oracle_reduces_nothing_on_block_unions(monkeypatch):
-    # one eigenvalue is built per H-orbit of frequencies, at its least member
-    counter = ReduceCounter(monkeypatch)
+    # every element of H maps a union of blocks to itself, so one gather
+    # settles it: no eigenvalue is built and nothing is tested for zero
+    counter = ZeroTestCounter(monkeypatch)
     built = []
-    original = circint.oracle.eigenvalue
-    monkeypatch.setattr(circint.oracle, "eigenvalue", lambda n, ms, r: built.append(r) or original(n, ms, r))
+    original = circint.cyclotomic.CyclotomicInteger.__post_init__
+    monkeypatch.setattr(circint.cyclotomic.CyclotomicInteger, "__post_init__",
+                        lambda self: built.append(self.order) or original(self))
     rng = random.Random(7)
     for spec_text in ("Q", "Qi", "sqrt:-7", "cyclo:12"):
         field = parse_field(spec_text)
         for n in (12, 35, 64, 97, 120):
-            fixers = galois_subgroup_mod(field, n).elements
-            leaders = sorted({min(h * r % n for h in fixers) for r in range(n)})
             unions, _, _ = seeded_sets(n, field, rng)
             for members in unions:
-                built.clear()
                 assert oracle_is_integral(CirculantSpec.of(n, members), field)
-                assert built == leaders
+    assert built == []
     assert counter.calls == 0
 
 
 @pytest.mark.parametrize("spec_text, reductions",
                          [("Q", (51, 61, 41)), ("Qi", (51, 61, 41)), ("sqrt:-7", (41, 49, 29))])
 def test_oracle_reduces_each_distinct_frequency_at_most_once(monkeypatch, spec_text, reductions):
-    # for S = {s = 1 mod 7} many eigenvalues of one orbit are equal as
-    # numbers but not as coefficient vectors, so the orbits need reductions;
-    # the bounds are the counts of a walk comparing each distinct orbit
-    # member once with its orbit's first frequency (at n = 63 a walk over
-    # h*r for every h in H, repeats included, makes 61, 61 and 37)
+    # for S = {s = 1 mod 7} many eigenvalues of one H-orbit of frequencies
+    # are equal as numbers but not as coefficient vectors; the reductions
+    # are the dense reductions of the orbit walk, which compared each
+    # distinct orbit member once. The divisor walk meets the order 7 first,
+    # where the eigenvalue |S| * zeta_7 differs from its first image.
     field = parse_field(spec_text)
     for n, bound in zip((77, 91, 63), reductions):
         spec = CirculantSpec.of(n, range(1, n, 7))
-        counter = ReduceCounter(monkeypatch)
+        counter = ZeroTestCounter(monkeypatch)
         assert not oracle_is_integral(spec, field)
-        assert counter.calls <= bound
+        assert counter.calls == 1 <= bound
         assert not reference_oracle(spec, field)
 
 
 def test_oracle_reaches_the_exact_order_bound():
-    script = ("from circint import CirculantSpec, field_rationals, oracle_is_integral\n"
-              "assert oracle_is_integral(CirculantSpec(10000, tuple(range(1, 10000))), field_rationals())\n")
+    script = ("from circint import CirculantSpec, oracle_is_integral, parse_field\n"
+              "full = CirculantSpec(10000, tuple(range(1, 10000)))\n"
+              "for field in ('Q', 'cyclo:10000', 'cyclo:100'):\n"
+              "    assert oracle_is_integral(full, parse_field(field))\n"
+              "assert not oracle_is_integral(CirculantSpec(1001, tuple(range(1, 1001, 7))), parse_field('Q'))\n")
     subprocess.run([sys.executable, "-c", script], timeout=5, check=True)
 
 
 def test_oracle_reduces_at_most_once_per_eigenvalue(monkeypatch):
+    # the divisors are walked by increasing order m = n/d, so every divisor
+    # of m passed before m is reached; then the counts mod m are constant
+    # on the orbits of the subgroup fixing the value, and the first image
+    # that differs as a vector differs in value: one zero test, or none
     rng = random.Random(11)
     for spec_text in ("Q", "Qi", "sqrt:5", "cyclo:8"):
         field = parse_field(spec_text)
         for n in (12, 35, 64, 97, 120):
             for kind in seeded_sets(n, field, rng):
                 for members in kind:
-                    counter = ReduceCounter(monkeypatch)
-                    oracle_is_integral(CirculantSpec.of(n, members), field)
-                    assert counter.calls <= n
-    # the first comparison, zeta^3 against zeta, already fails
-    counter = ReduceCounter(monkeypatch)
+                    counter = ZeroTestCounter(monkeypatch)
+                    integral = oracle_is_integral(CirculantSpec.of(n, members), field)
+                    assert counter.calls == (0 if integral else 1)
+    # the first comparison, zeta_4^3 against zeta_4, already fails
+    counter = ZeroTestCounter(monkeypatch)
     assert not oracle_is_integral(CirculantSpec.of(64, [1]), field_rationals())
     assert counter.calls == 1
 
