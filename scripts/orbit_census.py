@@ -6,6 +6,7 @@ Usage: python scripts/orbit_census.py [--lo 2] [--hi 30] [--fields Q,Qi,sqrt:2]
 """
 
 import argparse
+from decimal import Decimal
 
 from circint import count_integral, parse_field, r_count
 
@@ -26,7 +27,8 @@ def main():
     for n in range(args.lo, args.hi + 1):
         rs = [r_count(n, field) for _, field in fields]
         counts = [count_integral(n, field) for _, field in fields]
-        print("\t".join(str(v) for v in [n, *rs, *counts]))
+        # str(Decimal(2^r)) is exact, and free of the 4300-digit limit on str(int) past r = 14284
+        print("\t".join(str(Decimal(v)) for v in [n, *rs, *counts]))
 
 
 if __name__ == "__main__":

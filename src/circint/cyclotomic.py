@@ -34,7 +34,7 @@ class CyclotomicInteger:
             raise ValueError(f"need exactly {self.order} coefficients, got {len(self.coefficients)}")
 
 
-@lru_cache(maxsize=256)  # bounded; holds every order of an oracle sweep over n in 100..300
+@lru_cache(maxsize=256)  # bounded; one entry per order: _reduce (spectrum --exact), cyclotomic_polynomial
 def _cyclotomic(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)

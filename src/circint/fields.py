@@ -14,7 +14,6 @@ distinction matters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from math import gcd, prod
 
 from . import limits
@@ -130,11 +129,10 @@ def galois_subgroup_mod(field: AbelianField, g: int) -> UnitSubgroup:
     if g < 1:
         raise DegenerateOrder(f"galois_subgroup_mod needs g >= 1, got {g}")
     limits.check_modulus(g)
-    return _galois_subgroup_cached(field, g)
+    return _galois_subgroup(field, g)
 
 
-@lru_cache(maxsize=256)  # bounded; only the oracle and lemma1_check call it, at g | n <= 10^4
-def _galois_subgroup_cached(field: AbelianField, g: int) -> UnitSubgroup:
+def _galois_subgroup(field: AbelianField, g: int) -> UnitSubgroup:
     d, allowed = _fixing_mod(field, g)
     return UnitSubgroup(g, tuple(b for b in range(g) if b % d in allowed and gcd(b, g) == 1))
 

@@ -106,12 +106,12 @@ def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
     total = 1 << r
     cap = limits.enum_budget()
     if limit is None and total > cap:
-        raise TooManyOrbits(f"2^{r} = {total} sets exceeds budget {cap}; pass a limit")
+        raise TooManyOrbits(f"2^{r} sets exceeds budget {cap}; pass a limit")
 
     def _generate():
         for mask in range(total if limit is None else min(total, limit)):
             members = sorted(chain.from_iterable(
-                b.members for i, b in enumerate(part.blocks) if mask >> i & 1))
+                part.blocks[i].members for i in range(mask.bit_length()) if mask >> i & 1))
             yield CirculantSpec(n, tuple(members))
 
     return _generate()

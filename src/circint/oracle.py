@@ -21,7 +21,7 @@ from operator import itemgetter
 from . import limits
 from .cyclotomic import CyclotomicInteger, cyc_equal
 from .errors import UnsupportedLattice
-from .fields import AbelianField, _galois_subgroup_cached
+from .fields import AbelianField, _galois_subgroup
 from .residues import _proper_divisors
 
 RATIONAL_LATTICE = "rational-integers"
@@ -68,7 +68,7 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)  # bounded, as the Galois subgroup cache it reads
+@lru_cache(maxsize=256)  # bounded; read once per oracle_is_integral call, so per block in lemma1_check
 def _divisor_gathers(field: AbelianField, n: int):
     """For each divisor m > 1 of n, increasing, so ending at m = n: m, the
     elements of the field's Galois subgroup H at modulus m, ascending, and
@@ -78,7 +78,7 @@ def _divisor_gathers(field: AbelianField, n: int):
     gathers = []
     for d in reversed(_proper_divisors(n)):
         m = n // d
-        elements = _galois_subgroup_cached(field, m).elements
+        elements = _galois_subgroup(field, m).elements
         leader_of = [None] * m
         for r in range(m):
             if leader_of[r] is None:

@@ -5,23 +5,24 @@ eigenvalue oracle side by side over subsets of {1, ..., n-1}, either
 exhaustively or on seeded random samples (each subset drawn as n-1
 independent fair bits, bit i covering residue i+1). lemma1_check tests
 the structural properties the block construction promises: every block's
-power sum P_B(s) is fixed by the Galois subgroup at modulus n, and blocks
-have pairwise disjoint nonempty supports.
+power sum P_B(s), the spectrum of D(n, B), lies in the target field, and
+blocks have pairwise disjoint nonempty supports.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from . import limits
 from .cyclotomic import cyc_equal, eigenvalue
-from .errors import DegenerateOrder, LimitExceeded, UnsupportedLattice
-from .fields import AbelianField, _fixing_mod
+from .errors import DegenerateOrder, InvalidSet, LimitExceeded, UnsupportedLattice
+from .fields import AbelianField, galois_subgroup_mod
 from .integrality import CirculantSpec, is_integral
-from .oracle import (GAUSSIAN_LATTICE, RATIONAL_LATTICE, _divisor_gathers, numeric_lattice_check,
-                     oracle_is_integral)
+from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, numeric_lattice_check, oracle_is_integral
 from .orbits import orbit_partition
 
 
@@ -119,7 +120,7 @@ def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
     limits.check_order(n)
     if field.degree == 1:
         lattice = RATIONAL_LATTICE
-    elif field.degree == 2 and _fixing_mod(field, 4) == (4, frozenset({1})):
+    elif field.degree == 2 and galois_subgroup_mod(field, 4).elements == (1,):
         lattice = GAUSSIAN_LATTICE
     else:
         raise UnsupportedLattice(f"numeric check supports Q and Qi only, not {field.describe()}")
@@ -129,45 +130,40 @@ def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
 def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     """Check the testable block properties in exact arithmetic.
 
-    One case per (block, frequency) pair verifies that the block's
-    power sum at that frequency is fixed by the whole Galois subgroup at
-    modulus n, i.e. lies in the target field: outright when its
-    coefficients are constant on the orbits of that subgroup H, which at
-    s = 1 settles every s (the power sum at s is the image of the one at 1
-    under k -> s*k mod n, which commutes with multiplication by H).
-    Otherwise, since the image of the power sum at s under zeta -> zeta^a
-    is the power sum at a*s, each a is checked by comparing those two; the
-    first a that moves it is recorded. One case per block pair verifies
-    disjoint supports. Empty blocks are rejected outright.
+    One case per (block, frequency) pair verifies that the block's power
+    sum P_B(s) lies in the target field. P_B(s) is the eigenvalue of
+    D(n, B) at frequency s, so one oracle_is_integral call decides every s
+    of a block. A block it rejects, or whose members are not a valid
+    connection set, is searched: the image of P_B(s) under zeta -> zeta^a
+    is P_B(a*s), so each a in the Galois subgroup at modulus n is checked
+    by comparing those two, and the first a that moves it is recorded.
+    One case per block pair verifies disjoint supports; the pairs are
+    intersected only when some residue repeats. Empty blocks are rejected.
     """
     start = time.perf_counter()
     limits.check_order(n)
     part = orbit_partition(n, field)
-    _, fixers, spread = _divisor_gathers(field, n)[-1]
-    cases = 0
     mismatches = []
     for bi, block in enumerate(part.blocks):
         if not block.members:
             mismatches.append({"block": bi, "empty": True})
-        cases += n - 1
+        with suppress(InvalidSet):  # members unsorted, repeated or out of range: a corrupted partition
+            if oracle_is_integral(CirculantSpec(n, block.members), field):
+                continue
+        fixers = galois_subgroup_mod(field, n).elements
         for s in range(1, n):
             value = eigenvalue(n, block.members, s)
-            if spread(value.coefficients) == value.coefficients:
-                if s == 1:  # then so is the power sum at every s
-                    break
-                continue
-            for a in fixers:
-                if a == 1:
-                    continue
+            for a in fixers[1:]:
                 if not cyc_equal(eigenvalue(n, block.members, a * s % n), value):
                     mismatches.append({"block": bi, "s": s, "moved_by": a})
                     break
-    for i in range(len(part.blocks)):
-        si = set(part.blocks[i].members)
-        for j in range(i + 1, len(part.blocks)):
-            overlap = si.intersection(part.blocks[j].members)
+    members = list(chain.from_iterable(block.members for block in part.blocks))
+    if len(set(members)) < len(members):
+        for (i, first), (j, second) in combinations(enumerate(part.blocks), 2):
+            overlap = set(first.members).intersection(second.members)
             if overlap:
                 mismatches.append({"blocks": [i, j], "overlap": sorted(overlap)})
-            cases += 1
+    r = len(part.blocks)
+    cases = (n - 1) * r + r * (r - 1) // 2
     elapsed = int((time.perf_counter() - start) * 1000)
     return VerificationReport(n, field.describe(), "lemma1", cases, tuple(mismatches), None, elapsed)

@@ -138,6 +138,21 @@ def test_enumerate_matches_per_set_decision(capsys, n, spec, limit):
     assert out.splitlines()[:-1] == expected
 
 
+def test_enumerate_prints_totals_past_the_int_digit_limit(capsys):
+    # over cyclo:14401 every residue is its own block, so the total 2^14400
+    # has 4,335 digits, past the int-to-str limit of Python >= 3.10.7
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    before = digit_limit()
+    code, out, err = run_cli(capsys, "enumerate", "14401", "--field", "cyclo:14401", "--limit", "1")
+    assert code == 0 and err == ""
+    assert digit_limit() == before
+    first, summary = out.splitlines()
+    assert json.loads(first)["S"] == []
+    doc = json.loads(summary, parse_int=str)
+    assert doc["count"] == "1" and len(doc["total"]) == 4335
+    assert int(doc["total"][:-4000]) * 10 ** 4000 + int(doc["total"][-4000:]) == 1 << 14400
+
+
 def test_enumerate_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CIRC_LIMIT_ENUM", "4")
     code, out, err = run_cli(capsys, "enumerate", "6", "--field", "Q")

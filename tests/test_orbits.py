@@ -147,8 +147,8 @@ def test_orders_past_the_conductor_lcm(n, spec):
 
 def test_caches_are_bounded():
     # a sweep over many orders must not keep every partition and subgroup
-    for cached in (circint.orbits._partition_cached, circint.fields._galois_subgroup_cached,
-                   circint.cyclotomic._cyclotomic, circint.cyclotomic._coset_plan, circint.oracle._divisor_gathers):
+    for cached in (circint.orbits._partition_cached, circint.cyclotomic._cyclotomic, circint.cyclotomic._coset_plan,
+                   circint.oracle._divisor_gathers):
         maxsize = cached.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
 

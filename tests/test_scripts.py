@@ -18,3 +18,12 @@ def test_orbit_census_rows_match_the_library():
     for row in rows:
         n = int(row[0])
         assert [int(v) for v in row[1:]] == [r_count(n, k) for k in fields] + [count_integral(n, k) for k in fields]
+
+
+def test_orbit_census_prints_totals_past_the_int_digit_limit():
+    # r(14401, cyclo:14401) = 14400, so 2^r has 4,335 digits
+    run = subprocess.run([sys.executable, str(SCRIPTS / "orbit_census.py"), "--lo", "14401", "--hi", "14401",
+                          "--fields", "cyclo:14401"], capture_output=True, text=True, timeout=60, check=True)
+    n, r, total = run.stdout.splitlines()[1].split("\t")
+    assert (n, r, len(total)) == ("14401", "14400", 4335)
+    assert int(total[:-4000]) * 10 ** 4000 + int(total[-4000:]) == 1 << 14400

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -134,10 +136,14 @@ def galois_lemma1_check(n, field):
 
 
 @pytest.mark.parametrize("spec", ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7",
-                                  "cyclo:3", "cyclo:8", "cyclo:12", "custom:21:4,5"])
+                                  "cyclo:3", "cyclo:8", "cyclo:12", "custom:21:4,5", "custom:27720:27719",
+                                  "cyclo:n"])
 def test_lemma1_matches_the_galois_reference(spec):
-    field = parse_field(spec)
-    for n in range(2, 41):
+    # cyclo:n is the n-th cyclotomic field at each n, where every residue is
+    # its own block; the real subfield of conductor 27720 has blocks of at
+    # most two members at every n | 27720
+    for n in range(2, 61 if spec == "cyclo:n" else 41):
+        field = parse_field(spec.replace(":n", f":{n}"))
         rep = lemma1_check(n, field)
         assert rep.passed
         assert rep.to_json(include_elapsed=False) == galois_lemma1_check(n, field).to_json(include_elapsed=False)
@@ -149,17 +155,30 @@ def test_lemma1_reports_corrupted_partitions_like_the_galois_reference(monkeypat
     blocks = [(b.divisor, b.members) for b in good.blocks]
     assert blocks[:2] == [(1, (1, 5, 13, 17)), (1, (7, 11, 19, 23))]
     corrupted = [
-        [(1, (1, 5, 7, 11)), (1, (13, 17, 19, 23))] + blocks[2:],  # regrouped: two orbits per block
-        [(1, (1, 5)), (1, (7, 11, 13, 17, 19, 23))] + blocks[2:],  # split one block, merge into the next
-        blocks[:1] + blocks,  # duplicated block: overlapping supports
+        ([(1, (1, 5, 7, 11)), (1, (13, 17, 19, 23))] + blocks[2:], False),  # regrouped: two orbits per block
+        ([(1, (1, 5)), (1, (7, 11, 13, 17, 19, 23))] + blocks[2:], False),  # split one block, merge into the next
+        (blocks[:1] + blocks, False),  # duplicated block: overlapping supports
+        ([(1, (5, 1, 17, 13))] + blocks[1:], True),  # unsorted, but still one orbit
+        ([(1, (1, 5, 5, 13, 17))] + blocks[1:], False),  # repeated member
+        (blocks[:1] + [(1, ())] + blocks[1:], False),  # empty block
+        ([blocks[0], (1, (1, 5, 7, 11, 19, 23))] + blocks[2:], False),  # two blocks share 1 and 5
     ]
-    for bad in corrupted:
+    for bad, passes in corrupted:
         part = OrbitPartition(24, field, tuple(OrbitBlock(p, ms) for p, ms in bad))
         monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k, part=part: part)
         rep = lemma1_check(24, field)
-        assert not rep.passed
+        assert rep.passed == passes
         assert rep.to_json(include_elapsed=False) == galois_lemma1_check(24, field).to_json(include_elapsed=False)
-    assert any("overlap" in m for m in rep.mismatches)
+    assert {"blocks": [0, 1], "overlap": [1, 5]} in rep.mismatches
+
+
+def test_lemma1_reaches_the_exact_order_bound():
+    # over cyclo:10000 every residue is its own block: r = 9999 oracle calls
+    # and about 5 * 10^7 block pairs, which are not intersected one by one
+    script = ("from circint import field_cyclotomic, lemma1_check\n"
+              "rep = lemma1_check(10000, field_cyclotomic(10000))\n"
+              "assert rep.passed and rep.cases_checked == 9999 * 9999 + 9999 * 9998 // 2\n")
+    subprocess.run([sys.executable, "-c", script], timeout=20, check=True)
 
 
 def test_report_json_shape():
