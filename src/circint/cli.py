@@ -68,9 +68,9 @@ def _parse_set_spec(text: str, n: int, field) -> list[int]:
             raise InvalidSet(f"bad block selector {t!r}") from None
         members: list[int] = []
         for i in idxs:
-            if not 0 <= i < len(part.blocks):
-                raise InvalidSet(f"block index {i} outside [0, {len(part.blocks)})")
-            members.extend(part.blocks[i].members)
+            if not 0 <= i < part.block_count:
+                raise InvalidSet(f"block index {i} outside [0, {part.block_count})")
+            members.extend(part.block(i))
         return sorted(members)
     return _parse_members(t)
 
@@ -92,10 +92,10 @@ def _cmd_partition(args) -> int:
     field = parse_field(args.field)
     part = orbit_partition(args.n, field)
     if args.format == "table":
-        print(f"n={part.order}\tfield={field.describe()}\tblocks={len(part.blocks)}")
+        print(f"n={part.order}\tfield={field.describe()}\tblocks={part.block_count}")
         print("index\tp\tmembers")
-        for i, b in enumerate(part.blocks):
-            print(f"{i}\t{b.divisor}\t{','.join(map(str, b.members))}")
+        for i, (p, members) in enumerate(part.slices()):
+            print(f"{i}\t{p}\t{','.join(map(str, members))}")
     else:
         print(_dumps(part.to_json()))
     return EXIT_OK

@@ -8,8 +8,10 @@ distinct connection sets, with no identification of isomorphic digraphs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
+from operator import itemgetter, lt
 
 from . import limits
 from .errors import DegenerateOrder, InvalidSet, TooManyOrbits
@@ -27,7 +29,10 @@ class CirculantSpec:
     def __post_init__(self):
         if self.order < 2:
             raise DegenerateOrder(f"need at least 2 vertices, got {self.order}")
-        for s in self.connection_set:
+        c = self.connection_set
+        if not c or (c[0] >= 1 and c[-1] < self.order and all(map(lt, c, c[1:]))):
+            return  # strictly increasing inside [1, n): one pass at C speed
+        for s in c:
             if s == 0:
                 raise InvalidSet(
                     "0 is not allowed in a connection set: a loop adds 1 to "
@@ -35,7 +40,7 @@ class CirculantSpec:
                 )
             if not 1 <= s < self.order:
                 raise InvalidSet(f"connection element {s} outside [1, {self.order})")
-        if list(self.connection_set) != sorted(set(self.connection_set)):
+        if list(c) != sorted(set(c)):
             raise InvalidSet("connection set must be strictly increasing")
 
     @classmethod
@@ -63,16 +68,22 @@ class IntegralityVerdict:
             raise ValueError("verdict carries exactly one of block_indices / violation")
 
 
-def _classify(partition: OrbitPartition, members: frozenset[int]) -> IntegralityVerdict:
-    covered = []
-    for i, block in enumerate(partition.blocks):
-        inside = [x for x in block.members if x in members]
-        if len(inside) == len(block.members):
-            covered.append(i)
-        elif inside:
-            missing = tuple(x for x in block.members if x not in members)
-            return IntegralityVerdict(False, violation=BlockViolation(i, missing, tuple(inside)))
-    return IntegralityVerdict(True, block_indices=tuple(covered))
+def _classify(partition: OrbitPartition, members: tuple[int, ...]) -> IntegralityVerdict:
+    """Gather the block of every member: S is a union of blocks when the
+    blocks it touches hold |S| members in all. Otherwise the first block
+    it covers in part is the witness, its members split in block order."""
+    block_of, starts = partition.block_of, partition.block_starts
+    # one C-level gather; itemgetter returns a bare item for a single key
+    ids = itemgetter(*members)(block_of) if len(members) > 1 else [block_of[x] for x in members]
+    touched = sorted(set(ids))
+    if sum([starts[i + 1] - starts[i] for i in touched]) == len(members):
+        return IntegralityVerdict(True, block_indices=tuple(touched))
+    counts = Counter(ids)
+    i = next(i for i in touched if counts[i] < starts[i + 1] - starts[i])
+    block = partition.block(i).tolist()
+    inside = set(members).__contains__
+    return IntegralityVerdict(False, violation=BlockViolation(
+        i, tuple(filterfalse(inside, block)), tuple(filter(inside, block))))
 
 
 def is_integral(spec: CirculantSpec, field: AbelianField) -> IntegralityVerdict:
@@ -80,7 +91,7 @@ def is_integral(spec: CirculantSpec, field: AbelianField) -> IntegralityVerdict:
     union of whole orbit blocks. The verdict carries either the covered
     block indices or the first partially covered block as witness."""
     part = orbit_partition(spec.order, field)
-    return _classify(part, frozenset(spec.connection_set))
+    return _classify(part, spec.connection_set)
 
 
 def is_gauss_integral(spec: CirculantSpec) -> IntegralityVerdict:
@@ -102,7 +113,7 @@ def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
     budget.
     """
     part = orbit_partition(n, field)
-    r = len(part.blocks)
+    r = part.block_count
     total = 1 << r
     cap = limits.enum_budget()
     if limit is None and total > cap:
@@ -111,7 +122,7 @@ def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
     def _generate():
         for mask in range(total if limit is None else min(total, limit)):
             members = sorted(chain.from_iterable(
-                part.blocks[i].members for i in range(mask.bit_length()) if mask >> i & 1))
+                part.block(i) for i in range(mask.bit_length()) if mask >> i & 1))
             yield CirculantSpec(n, tuple(members))
 
     return _generate()

@@ -10,6 +10,15 @@ the units mod g and merges the runs of a class. A connection set yields a
 digraph integral over K exactly when it is a union of whole blocks, which
 is what downstream modules consume. Validation computes no gcd: divisibility
 by the labels, with the label, size, count and coverage checks, forces them.
+The build validates its own lists, then packs them.
+
+A partition is stored flat: every member, block after block, in one
+unsigned array, and one (divisor, block size, block count) triple per run
+of consecutive blocks that share divisor and size; over a divisor every
+block has the same size, so a built partition has one run per divisor and
+holds about 4 bytes per residue. The block offsets and the
+residue-to-block index are built on first use, which a build alone never
+makes. ``blocks`` is a view of OrbitBlock objects built on each access.
 
 Blocks are ordered by (divisor, smallest member); block indices elsewhere
 always refer to this canonical order. Tools that order blocks differently
@@ -18,10 +27,11 @@ should sort before comparing.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress, groupby, repeat
-from operator import attrgetter, itemgetter, lt, mod
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import itemgetter, lt, mod
 
 from . import limits
 from .errors import DegenerateOrder, OutOfRange
@@ -37,25 +47,80 @@ class OrbitBlock:
 
 @dataclass(frozen=True)
 class OrbitPartition:
+    """The blocks of (n, K), block after block in ``members``, with one
+    (divisor, block size, block count) triple in ``runs`` per run of like
+    blocks; from_blocks builds one from (divisor, members) pairs."""
+
     order: int
     field: AbelianField
-    blocks: tuple[OrbitBlock, ...]
+    members: array  # typecode 'I'
+    runs: tuple[tuple[int, int, int], ...]  # (divisor, block size, block count)
+
+    __hash__ = None  # the member array is mutable
+
+    @classmethod
+    def from_blocks(cls, order: int, field: AbelianField, blocks) -> OrbitPartition:
+        """Hold the (divisor, members) blocks as given, even unsorted,
+        repeated or empty ones; validate() judges them."""
+        blocks = [(p, list(ms)) for p, ms in blocks]
+        runs = tuple((p, h, len(list(grp))) for (p, h), grp in groupby((p, len(ms)) for p, ms in blocks))
+        return cls(order, field, array("I", chain.from_iterable(ms for _, ms in blocks)), runs)
+
+    @property
+    def block_count(self) -> int:
+        return sum(k for _, _, k in self.runs)
+
+    def slices(self):
+        """(divisor, members) of each block in canonical order, members an
+        array slice."""
+        start = 0
+        for p, h, k in self.runs:
+            for _ in repeat(None, k):
+                yield p, self.members[start:start + h]
+                start += h
 
     @cached_property
-    def _block_of(self) -> dict[int, int]:
-        return {x: i for i, b in enumerate(self.blocks) for x in b.members}
+    def block_starts(self) -> array:
+        """Block i is members[block_starts[i]:block_starts[i + 1]]; built on
+        first use."""
+        return array("I", accumulate(chain.from_iterable(repeat(h, k) for _, h, k in self.runs), initial=0))
+
+    def block(self, i: int) -> array:
+        """The members of block i."""
+        if not 0 <= i < len(self.block_starts) - 1:
+            raise IndexError(f"block index {i} outside [0, {len(self.block_starts) - 1})")
+        return self.members[self.block_starts[i]:self.block_starts[i + 1]]
+
+    @property
+    def blocks(self) -> tuple[OrbitBlock, ...]:
+        """Every block as an OrbitBlock; built afresh on each access, so
+        read it once."""
+        return tuple(OrbitBlock(p, tuple(ms)) for p, ms in self.slices())
+
+    @cached_property
+    def block_of(self) -> array:
+        """block_of[x] is the index of the block holding x, 1 <= x < n;
+        built on first use."""
+        index = array("I", bytes(4 * self.order))
+        first = start = 0
+        for _, h, k in self.runs:
+            for j, x in enumerate(self.members[start:start + h * k]):
+                index[x] = first + j // h
+            first += k
+            start += h * k
+        return index
 
     def locate(self, x: int) -> int:
         """Index of the unique block containing x."""
         if not 1 <= x < self.order:
             raise OutOfRange(f"{x} outside [1, {self.order})")
-        return self._block_of[x]
+        return self.block_of[x]
 
     def to_json(self) -> dict:
         return {
             "n": self.order,
             "field": self.field.describe(),
-            "blocks": [{"p": b.divisor, "members": list(b.members)} for b in self.blocks],
+            "blocks": [{"p": p, "members": ms.tolist()} for p, ms in self.slices()],
         }
 
     def validate(self) -> None:
@@ -73,40 +138,53 @@ class OrbitPartition:
         phi(n/q) residues of gcd q, the multiples of p left to the blocks
         over p have gcd p, and they hold phi(g) = phi(n/p) of them: all.
         """
-        n = self.order
-        by_divisor = {}
-        for p, group in groupby(self.blocks, attrgetter("divisor")):
-            if p in by_divisor:
-                raise ValueError("blocks out of canonical order")
-            by_divisor[p] = list(map(attrgetter("members"), group))
-        if tuple(by_divisor) != _proper_divisors(n):
-            raise ValueError(f"block labels are not the proper divisors of {n}, ascending")
-        seen = set()
-        for p, found in by_divisor.items():
-            g = n // p
-            d, reduced = _fixing_mod(self.field, g)
-            h = _euler_phi(g) * len(reduced) // _euler_phi(d)
-            if set(map(len, found)) != {h}:
-                raise ValueError(f"blocks over divisor {p} are not all of size {h}")
-            if len(found) != _euler_phi(g) // h:
-                raise ValueError(f"wrong number of blocks over divisor {p}")
-            if h > 1:  # a single member is ascending and in its own class
-                pd = p * d
-                for ms in found:
-                    if list(ms) != sorted(ms):
-                        raise ValueError(f"block of {ms[0]} over divisor {p} is not ascending")
-                    if d > 1 and not set(map(mod, ms, repeat(pd))) <= {a * ms[0] % pd for a in reduced}:
-                        raise ValueError(f"block of {ms[0]} over divisor {p} is not one Galois orbit")
-            firsts = list(map(itemgetter(0), found))
-            if not all(map(lt, firsts, firsts[1:])):
-                raise ValueError("blocks out of canonical order")
-            if firsts[0] < 1 or max(map(itemgetter(-1), found)) >= n:
-                raise ValueError(f"a block over divisor {p} leaves [1, {n})")
-            if p > 1 and any(map(mod, chain.from_iterable(found), repeat(p))):
-                raise ValueError(f"a block over divisor {p} has a member that is not a multiple of {p}")
-            seen.update(chain.from_iterable(found))
-        if len(seen) != n - 1:
-            raise ValueError("blocks overlap or do not cover 1..n-1")
+        groups, start = [], 0
+        for p, grp in groupby(self.runs, itemgetter(0)):
+            sizes = [(h, k) for _, h, k in grp]
+            stop = start + sum(h * k for h, k in sizes)
+            groups.append((p, sizes, self.members[start:stop].tolist()))
+            start = stop
+        _check(self.order, self.field, groups)
+
+
+def _check(n: int, field: AbelianField, groups) -> None:
+    """The checks of OrbitPartition.validate, on one (p, [(block size,
+    block count), ...], members) per run of blocks over a divisor p, in
+    stored order, with members a list: the build's own, before packing."""
+    labels = [p for p, _, _ in groups]
+    if len(set(labels)) < len(labels):
+        raise ValueError("blocks out of canonical order")
+    if tuple(labels) != _proper_divisors(n):
+        raise ValueError(f"block labels are not the proper divisors of {n}, ascending")
+    seen = set()
+    for p, sizes, flat in groups:
+        g = n // p
+        d, reduced = _fixing_mod(field, g)
+        h = _euler_phi(g) * len(reduced) // _euler_phi(d)
+        if {size for size, _ in sizes} != {h}:
+            raise ValueError(f"blocks over divisor {p} are not all of size {h}")
+        if sum(k for _, k in sizes) != _euler_phi(g) // h:
+            raise ValueError(f"wrong number of blocks over divisor {p}")
+        if h > 1:  # a single member is ascending and in its own class
+            pd = p * d
+            for start in range(0, len(flat), h):
+                ms = flat if h == len(flat) else flat[start:start + h]
+                if ms != sorted(ms):
+                    raise ValueError(f"block of {ms[0]} over divisor {p} is not ascending")
+                if d > 1 and not set(map(mod, ms, repeat(pd))) <= {a * ms[0] % pd for a in reduced}:
+                    raise ValueError(f"block of {ms[0]} over divisor {p} is not one Galois orbit")
+        firsts = flat[::h]
+        if not all(map(lt, firsts, firsts[1:])):
+            raise ValueError("blocks out of canonical order")
+        if firsts[0] < 1 or max(flat[h - 1::h]) >= n:
+            raise ValueError(f"a block over divisor {p} leaves [1, {n})")
+        # a block that passed the orbit test is its first member times units mod p*d, so its
+        # first member decides divisibility by p
+        if p > 1 and any(map(mod, firsts if d > 1 else flat, repeat(p))):
+            raise ValueError(f"a block over divisor {p} has a member that is not a multiple of {p}")
+        seen.update(flat)
+    if len(seen) != n - 1:
+        raise ValueError("blocks overlap or do not cover 1..n-1")
 
 
 def orbit_partition(n: int, field: AbelianField) -> OrbitPartition:
@@ -121,25 +199,36 @@ def orbit_partition(n: int, field: AbelianField) -> OrbitPartition:
     return _partition_cached(n, field)
 
 
-@lru_cache(maxsize=256)  # bounded: a partition of n near 10^5 takes megabytes
+@lru_cache(maxsize=256)  # bounded: about 4 bytes per residue, 0.4 MB near n = 10^5
 def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
     primes = _prime_factors(n)
-    blocks = []
+    groups = []
     for p in _proper_divisors(n):
         g = n // p
         d, reduced = _fixing_mod(field, g)
         unit = _coprime_flags(g, primes)
+        if d == g and len(reduced) == 1:  # every unit is a block of its own
+            flat = list(compress(range(0, n, p), unit))
+            groups.append((p, [(1, len(flat))], flat))
+            continue
         classes = _classes(d, p, reduced, unit if d == g else _coprime_flags(d, primes))
-        if d == g:
-            found = classes  # one unit per class mod d: the class is the block
-        else:
-            # the members p*y, y = c mod d a unit mod g, are compress(range(p*c, n, p*d), unit[c::d])
-            found = sorted(tuple(sorted(chain.from_iterable(
-                compress(range(x, n, p * d), unit[x // p::d]) for x in cls))) for cls in classes)
-        blocks += map(OrbitBlock, repeat(p), found)
-    part = OrbitPartition(n, field, tuple(blocks))
-    part.validate()
-    return part
+        if d < g:
+            classes = sorted(_class_members(n, p, d, unit, cls) for cls in classes)
+        sizes = [(h, len(list(grp))) for h, grp in groupby(map(len, classes))]
+        groups.append((p, sizes, classes[0] if len(classes) == 1 else list(chain.from_iterable(classes))))
+    _check(n, field, groups)
+    members = array("I")
+    for _, _, flat in groups:
+        members.fromlist(flat)
+    return OrbitPartition(n, field, members, tuple((p, h, k) for p, sizes, _ in groups for h, k in sizes))
+
+
+def _class_members(n: int, p: int, d: int, unit: bytearray, cls) -> list[int]:
+    """The members p*y, y = c mod d a unit mod n/p, of the classes p*c in
+    cls: each c gives the ascending run compress(range(p*c, n, p*d),
+    unit[c::d]), and the runs are merged."""
+    runs = [compress(range(x, n, p * d), unit[x // p::d]) for x in cls]
+    return list(runs[0]) if len(runs) == 1 else sorted(chain.from_iterable(runs))
 
 
 def _coprime_flags(m: int, primes) -> bytearray:
@@ -151,11 +240,11 @@ def _coprime_flags(m: int, primes) -> bytearray:
     return flags
 
 
-def _classes(d: int, p: int, reduced, unit) -> list[tuple[int, ...]]:
+def _classes(d: int, p: int, reduced, unit) -> list[list[int]]:
     """The classes of the units c mod d (unit[c] = 1) under reduced, as
-    ascending tuples of p*c in order of their smallest member."""
+    ascending lists of p*c in order of their smallest member."""
     if len(reduced) == 1:
-        return list(zip(compress(range(0, p * d, p), unit)))
+        return [[x] for x in compress(range(0, p * d, p), unit)]
     free = bytearray(unit)
     classes = []
     k = free.find(1)
@@ -163,7 +252,7 @@ def _classes(d: int, p: int, reduced, unit) -> list[tuple[int, ...]]:
         cls = sorted([a * k % d for a in reduced])
         for c in cls:
             free[c] = 0
-        classes.append(tuple([p * c for c in cls]))
+        classes.append([p * c for c in cls])
         k = free.find(1, k + 1)
     return classes
 

@@ -15,7 +15,7 @@ import random
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import limits
 from .cyclotomic import cyc_equal, eigenvalue
@@ -144,26 +144,27 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     limits.check_order(n)
     part = orbit_partition(n, field)
     mismatches = []
-    for bi, block in enumerate(part.blocks):
-        if not block.members:
+    for bi, (_, block) in enumerate(part.slices()):
+        members = tuple(block)
+        if not members:
             mismatches.append({"block": bi, "empty": True})
         with suppress(InvalidSet):  # members unsorted, repeated or out of range: a corrupted partition
-            if oracle_is_integral(CirculantSpec(n, block.members), field):
+            if oracle_is_integral(CirculantSpec(n, members), field):
                 continue
         fixers = galois_subgroup_mod(field, n).elements
         for s in range(1, n):
-            value = eigenvalue(n, block.members, s)
+            value = eigenvalue(n, members, s)
             for a in fixers[1:]:
-                if not cyc_equal(eigenvalue(n, block.members, a * s % n), value):
+                if not cyc_equal(eigenvalue(n, members, a * s % n), value):
                     mismatches.append({"block": bi, "s": s, "moved_by": a})
                     break
-    members = list(chain.from_iterable(block.members for block in part.blocks))
-    if len(set(members)) < len(members):
-        for (i, first), (j, second) in combinations(enumerate(part.blocks), 2):
-            overlap = set(first.members).intersection(second.members)
+    if len(set(part.members)) < len(part.members):
+        supports = [set(block) for _, block in part.slices()]
+        for (i, first), (j, second) in combinations(enumerate(supports), 2):
+            overlap = first & second
             if overlap:
                 mismatches.append({"blocks": [i, j], "overlap": sorted(overlap)})
-    r = len(part.blocks)
+    r = part.block_count
     cases = (n - 1) * r + r * (r - 1) // 2
     elapsed = int((time.perf_counter() - start) * 1000)
     return VerificationReport(n, field.describe(), "lemma1", cases, tuple(mismatches), None, elapsed)

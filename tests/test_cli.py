@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circint import enumerate_integral, is_integral, parse_field, verdict_to_json
+from circint import OrbitPartition, enumerate_integral, is_integral, parse_field, verdict_to_json
 from circint.cli import main
 
 
@@ -92,6 +92,22 @@ def test_check_block_selector(capsys):
     assert json.loads(out)["S"] == [1, 4, 5]
     code, _, err = run_cli(capsys, "check", "8", "--set", "blocks:9", "--field", "Qi")
     assert code == 2 and "block index" in err
+
+
+def test_commands_never_build_the_blocks_view(capsys, monkeypatch):
+    # the view costs an object per block on every access; read in a loop it
+    # would make these commands quadratic in the block count
+    def refuse(part):
+        raise AssertionError("OrbitPartition.blocks read")
+
+    monkeypatch.setattr(OrbitPartition, "blocks", property(refuse))
+    for argv in (["partition", "12", "--field", "Qi"], ["partition", "12", "--field", "Qi", "--format", "table"],
+                 ["check", "12", "--set", "blocks:0,3", "--field", "Qi"],
+                 ["check", "12", "--set", "1,5", "--field", "sqrt:-3"],
+                 ["enumerate", "12", "--field", "Qi", "--limit", "20"],
+                 ["verify", "2..12", "--field", "Qi", "--exhaustive", "--lemma1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1) and out and "blocks read" not in err, argv
 
 
 def test_check_empty_set(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,52 @@ def test_circulant_spec_validation():
         CirculantSpec(6, (2, 1))
     with pytest.raises(DegenerateOrder):
         CirculantSpec.of(1, [])
+
+
+def loop_validated(order, connection_set):
+    """Reference: CirculantSpec's set validation as a loop over every
+    element, before the one-pass test of a valid set; returns the error
+    raised as (type, message), or None."""
+    for s in connection_set:
+        if s == 0:
+            return InvalidSet, ("0 is not allowed in a connection set: a loop adds 1 to "
+                                "every eigenvalue and never changes integrality")
+        if not 1 <= s < order:
+            return InvalidSet, f"connection element {s} outside [1, {order})"
+    if list(connection_set) != sorted(set(connection_set)):
+        return InvalidSet, "connection set must be strictly increasing"
+    return None
+
+
+def test_circulant_spec_fast_path_matches_the_loop():
+    rng = random.Random(20121)
+    cases = [(5, ()), (5, (0,)), (5, (5, 0)), (5, (0, 5)), (5, (1, 5)), (5, (4, 4)), (5, (3, 1)), (5, (-1, 2)),
+             (2, (1,)), (2, (2,))]
+    for _ in range(3000):
+        n = rng.randrange(2, 40)
+        s = sorted(rng.sample(range(1, n), rng.randrange(0, n)))
+        kind = rng.randrange(6)
+        if kind == 1 and s:
+            s[rng.randrange(len(s))] = rng.choice([0, n, n + 1, -1, -n])
+        elif kind == 2 and s:
+            s.insert(rng.randrange(len(s) + 1), rng.choice(s))
+        elif kind == 3:
+            rng.shuffle(s)
+        elif kind == 4 and s:
+            s = sorted(s + [rng.choice([0, n])])
+        cases.append((n, tuple(s)))
+    kinds = set()
+    for n, s in cases:
+        expected = loop_validated(n, s)
+        try:
+            CirculantSpec(n, s)
+            got = None
+        except InvalidSet as exc:
+            got = type(exc), str(exc)
+        assert got == expected, (n, s)
+        kinds.add(expected and expected[1].split()[1])
+    # accepted; "0 is not allowed"; "connection element ... outside"; "connection set must be strictly increasing"
+    assert kinds == {None, "is", "element", "set"}
 
 
 def test_is_integral_verdicts():

@@ -1,4 +1,7 @@
+import gc
 import json
+import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -13,7 +16,6 @@ from circint import (
     CirculantSpec,
     DegenerateOrder,
     LimitExceeded,
-    OrbitBlock,
     OrbitPartition,
     OutOfRange,
     euler_phi,
@@ -22,6 +24,7 @@ from circint import (
     field_quadratic,
     field_rationals,
     galois_subgroup_mod,
+    is_integral,
     oracle_is_integral,
     orbit_partition,
     parse_field,
@@ -250,7 +253,7 @@ def test_keyed_build_matches_multiplied_orbits_near_the_bound(spec, n):
 
 
 def with_blocks(part, blocks):
-    return OrbitPartition(part.order, part.field, tuple(OrbitBlock(p, ms) for p, ms in blocks))
+    return OrbitPartition.from_blocks(part.order, part.field, blocks)
 
 
 def test_validate_rejects_blocks_that_are_not_orbits():
@@ -271,7 +274,7 @@ def test_validate_rejects_blocks_that_are_not_orbits():
         with pytest.raises(ValueError, match=message):
             bad.validate()
     # the canonical-order check must not read a block's first member as its smallest
-    unsorted = OrbitPartition(6, field_rationals(), (OrbitBlock(1, (5, 1)), OrbitBlock(2, (4, 2)), OrbitBlock(3, (3,))))
+    unsorted = OrbitPartition.from_blocks(6, field_rationals(), [(1, (5, 1)), (2, (4, 2)), (3, (3,))])
     with pytest.raises(ValueError, match="ascending"):
         unsorted.validate()
 
@@ -368,3 +371,64 @@ def test_validate_agrees_with_the_per_member_check(spec):
     assert kinds >= {"gcd", "overlap", "label"}
     # over Q each divisor has a single block
     assert spec == "Q" or kinds >= {"regrouped", "split", "merged", "reordered"}
+
+
+def scan_classify(part, members):
+    """Reference: the block test as a scan of every member of every block,
+    the first partly covered block being the witness."""
+    members = frozenset(members)
+    covered = []
+    for i, block in enumerate(part.blocks):
+        inside = [x for x in block.members if x in members]
+        if len(inside) == len(block.members):
+            covered.append(i)
+        elif inside:
+            missing = tuple(x for x in block.members if x not in members)
+            return False, None, (i, missing, tuple(inside))
+    return True, tuple(covered), None
+
+
+@pytest.mark.parametrize("spec", KEYED_BUILD_FIELDS)
+def test_block_counts_decide_like_the_scan(spec):
+    # is_integral counts S's members per block through block_of; verdicts and
+    # witnesses must be those of the scan over every block
+    field = parse_field(spec)
+    rng = random.Random(spec)
+    for n in range(2, 300):
+        part = orbit_partition(n, field)
+        blocks = part.blocks
+        for x in range(1, n):
+            assert part.locate(x) == next(i for i, b in enumerate(blocks) if x in b.members)
+        union = sorted(x for b in blocks if rng.random() < 0.5 for x in b.members)
+        flipped = sorted(set(union) ^ {rng.randrange(1, n)})
+        subset = sorted(x for x in range(1, n) if rng.random() < 0.5)
+        for members in (union, flipped, subset):
+            verdict = is_integral(CirculantSpec(n, tuple(members)), field)
+            v = verdict.violation
+            got = verdict.integral, verdict.block_indices, v and (v.block_index, v.missing, v.present)
+            assert got == scan_classify(part, members), (n, members)
+
+
+@pytest.mark.parametrize("n,spec", [(99991, "cyclo:99991"), (98280, "Qi")])
+def test_cached_partition_holds_about_four_bytes_per_residue(n, spec):
+    # one unsigned member array and a run per divisor; the blocks view is
+    # built per access and the residue index on the first lookup
+    field = parse_field(spec)
+    r = r_count(n, field)
+    orbit_partition(12, field).validate()  # warm the field's own caches
+    circint.orbits._partition_cached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        part = orbit_partition(n, field)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert held <= 6 * n + 64_000, held
+        for _ in range(2):
+            assert len(part.blocks) == r
+            gc.collect()
+            # a cached view would hold megabytes; interpreter free lists move a few bytes
+            assert tracemalloc.get_traced_memory()[0] - before <= held + 1_000
+    finally:
+        tracemalloc.stop()

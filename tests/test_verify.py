@@ -8,7 +8,6 @@ import circint.verify
 from circint import (
     CyclotomicInteger,
     LimitExceeded,
-    OrbitBlock,
     OrbitPartition,
     UnsupportedLattice,
     VerificationReport,
@@ -164,7 +163,7 @@ def test_lemma1_reports_corrupted_partitions_like_the_galois_reference(monkeypat
         ([blocks[0], (1, (1, 5, 7, 11, 19, 23))] + blocks[2:], False),  # two blocks share 1 and 5
     ]
     for bad, passes in corrupted:
-        part = OrbitPartition(24, field, tuple(OrbitBlock(p, ms) for p, ms in bad))
+        part = OrbitPartition.from_blocks(24, field, bad)
         monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k, part=part: part)
         rep = lemma1_check(24, field)
         assert rep.passed == passes
