@@ -61,10 +61,17 @@ class OrbitPartition:
     @classmethod
     def from_blocks(cls, order: int, field: AbelianField, blocks) -> OrbitPartition:
         """Hold the (divisor, members) blocks as given, even unsorted,
-        repeated or empty ones; validate() judges them."""
+        repeated or empty ones; validate() judges them. Members are held
+        unsigned in 32 bits: one outside [0, 2^32) raises ValueError here."""
         blocks = [(p, list(ms)) for p, ms in blocks]
         runs = tuple((p, h, len(list(grp))) for (p, h), grp in groupby((p, len(ms)) for p, ms in blocks))
-        return cls(order, field, array("I", chain.from_iterable(ms for _, ms in blocks)), runs)
+        members = array("I")
+        for p, ms in blocks:
+            try:
+                members.fromlist(ms)
+            except OverflowError:
+                raise ValueError(f"a block over divisor {p} leaves [1, {order})") from None
+        return cls(order, field, members, runs)
 
     @property
     def block_count(self) -> int:
@@ -168,7 +175,7 @@ def _check(n: int, field: AbelianField, groups) -> None:
         if h > 1:  # a single member is ascending and in its own class
             pd = p * d
             for start in range(0, len(flat), h):
-                ms = flat if h == len(flat) else flat[start:start + h]
+                ms = flat[start:start + h]
                 if ms != sorted(ms):
                     raise ValueError(f"block of {ms[0]} over divisor {p} is not ascending")
                 if d > 1 and not set(map(mod, ms, repeat(pd))) <= {a * ms[0] % pd for a in reduced}:
@@ -207,15 +214,11 @@ def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
         g = n // p
         d, reduced = _fixing_mod(field, g)
         unit = _coprime_flags(g, primes)
-        if d == g and len(reduced) == 1:  # every unit is a block of its own
-            flat = list(compress(range(0, n, p), unit))
-            groups.append((p, [(1, len(flat))], flat))
-            continue
         classes = _classes(d, p, reduced, unit if d == g else _coprime_flags(d, primes))
         if d < g:
             classes = sorted(_class_members(n, p, d, unit, cls) for cls in classes)
         sizes = [(h, len(list(grp))) for h, grp in groupby(map(len, classes))]
-        groups.append((p, sizes, classes[0] if len(classes) == 1 else list(chain.from_iterable(classes))))
+        groups.append((p, sizes, list(chain.from_iterable(classes))))
     _check(n, field, groups)
     members = array("I")
     for _, _, flat in groups:
@@ -228,7 +231,7 @@ def _class_members(n: int, p: int, d: int, unit: bytearray, cls) -> list[int]:
     cls: each c gives the ascending run compress(range(p*c, n, p*d),
     unit[c::d]), and the runs are merged."""
     runs = [compress(range(x, n, p * d), unit[x // p::d]) for x in cls]
-    return list(runs[0]) if len(runs) == 1 else sorted(chain.from_iterable(runs))
+    return sorted(chain.from_iterable(runs))
 
 
 def _coprime_flags(m: int, primes) -> bytearray:

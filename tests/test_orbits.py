@@ -279,6 +279,12 @@ def test_validate_rejects_blocks_that_are_not_orbits():
         unsorted.validate()
 
 
+@pytest.mark.parametrize("member", [-1, 2**32])
+def test_from_blocks_rejects_members_it_cannot_hold(member):
+    with pytest.raises(ValueError, match=r"a block over divisor 2 leaves \[1, 6\)"):
+        OrbitPartition.from_blocks(6, field_rationals(), [(1, (1, 5)), (2, (2, member)), (3, (3,))])
+
+
 def per_member_validate(part):
     """Reference: the validation that tested gcd(x, n) and the orbit key of
     every member one at a time."""
