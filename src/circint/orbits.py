@@ -175,7 +175,8 @@ def _check(n: int, field: AbelianField, groups) -> None:
         if h > 1:  # a single member is ascending and in its own class
             pd = p * d
             for start in range(0, len(flat), h):
-                ms = flat[start:start + h]
+                # one block over p, the common case for small conductors: no copy
+                ms = flat if h == len(flat) else flat[start:start + h]
                 if ms != sorted(ms):
                     raise ValueError(f"block of {ms[0]} over divisor {p} is not ascending")
                 if d > 1 and not set(map(mod, ms, repeat(pd))) <= {a * ms[0] % pd for a in reduced}:
@@ -218,7 +219,8 @@ def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
         if d < g:
             classes = sorted(_class_members(n, p, d, unit, cls) for cls in classes)
         sizes = [(h, len(list(grp))) for h, grp in groupby(map(len, classes))]
-        groups.append((p, sizes, list(chain.from_iterable(classes))))
+        # one class over p, as over Q, needs no copy
+        groups.append((p, sizes, classes[0] if len(classes) == 1 else list(chain.from_iterable(classes))))
     _check(n, field, groups)
     members = array("I")
     for _, _, flat in groups:
@@ -231,7 +233,7 @@ def _class_members(n: int, p: int, d: int, unit: bytearray, cls) -> list[int]:
     cls: each c gives the ascending run compress(range(p*c, n, p*d),
     unit[c::d]), and the runs are merged."""
     runs = [compress(range(x, n, p * d), unit[x // p::d]) for x in cls]
-    return sorted(chain.from_iterable(runs))
+    return list(runs[0]) if len(runs) == 1 else sorted(chain.from_iterable(runs))  # one run is ascending
 
 
 def _coprime_flags(m: int, primes) -> bytearray:
