@@ -8,7 +8,6 @@ distinct connection sets, with no identification of isomorphic digraphs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, filterfalse
 from operator import itemgetter, lt
@@ -70,20 +69,21 @@ class IntegralityVerdict:
 
 def _classify(partition: OrbitPartition, members: tuple[int, ...]) -> IntegralityVerdict:
     """Gather the block of every member: S is a union of blocks when the
-    blocks it touches hold |S| members in all. Otherwise the first block
-    it covers in part is the witness, its members split in block order."""
+    blocks it touches hold |S| members in all. Otherwise the first touched
+    block that S covers in part is the witness, its members split in block
+    order; the scan stops there."""
     block_of, starts = partition.block_of, partition.block_starts
     # one C-level gather; itemgetter returns a bare item for a single key
     ids = itemgetter(*members)(block_of) if len(members) > 1 else [block_of[x] for x in members]
     touched = sorted(set(ids))
     if sum([starts[i + 1] - starts[i] for i in touched]) == len(members):
         return IntegralityVerdict(True, block_indices=tuple(touched))
-    counts = Counter(ids)
-    i = next(i for i in touched if counts[i] < starts[i + 1] - starts[i])
-    block = partition.block(i).tolist()
     inside = set(members).__contains__
-    return IntegralityVerdict(False, violation=BlockViolation(
-        i, tuple(filterfalse(inside, block)), tuple(filter(inside, block))))
+    for i in touched:
+        block = partition.members[starts[i]:starts[i + 1]].tolist()
+        present = tuple(filter(inside, block))
+        if len(present) < len(block):
+            return IntegralityVerdict(False, violation=BlockViolation(i, tuple(filterfalse(inside, block)), present))
 
 
 def is_integral(spec: CirculantSpec, field: AbelianField) -> IntegralityVerdict:
