@@ -9,13 +9,13 @@ distinct connection sets, with no identification of isomorphic digraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, filterfalse
-from operator import itemgetter, lt
+from itertools import chain
+from operator import lt
 
 from . import limits
 from .errors import DegenerateOrder, InvalidSet, TooManyOrbits
 from .fields import AbelianField, field_gaussian
-from .orbits import OrbitPartition, orbit_partition, r_count
+from .orbits import orbit_partition, r_count
 
 
 @dataclass(frozen=True)
@@ -67,31 +67,14 @@ class IntegralityVerdict:
             raise ValueError("verdict carries exactly one of block_indices / violation")
 
 
-def _classify(partition: OrbitPartition, members: tuple[int, ...]) -> IntegralityVerdict:
-    """Gather the block of every member: S is a union of blocks when the
-    blocks it touches hold |S| members in all. Otherwise the first touched
-    block that S covers in part is the witness, its members split in block
-    order; the scan stops there."""
-    block_of, starts = partition.block_of, partition.block_starts
-    # one C-level gather; itemgetter returns a bare item for a single key
-    ids = itemgetter(*members)(block_of) if len(members) > 1 else [block_of[x] for x in members]
-    touched = sorted(set(ids))
-    if sum([starts[i + 1] - starts[i] for i in touched]) == len(members):
-        return IntegralityVerdict(True, block_indices=tuple(touched))
-    inside = set(members).__contains__
-    for i in touched:
-        block = partition.members[starts[i]:starts[i + 1]].tolist()
-        present = tuple(filter(inside, block))
-        if len(present) < len(block):
-            return IntegralityVerdict(False, violation=BlockViolation(i, tuple(filterfalse(inside, block)), present))
-
-
 def is_integral(spec: CirculantSpec, field: AbelianField) -> IntegralityVerdict:
     """Decide integrality over the field: the connection set must be a
     union of whole orbit blocks. The verdict carries either the covered
     block indices or the first partially covered block as witness."""
-    part = orbit_partition(spec.order, field)
-    return _classify(part, spec.connection_set)
+    covered, witness = orbit_partition(spec.order, field).cover(spec.connection_set)
+    if witness is None:
+        return IntegralityVerdict(True, block_indices=covered)
+    return IntegralityVerdict(False, violation=BlockViolation(*witness))
 
 
 def is_gauss_integral(spec: CirculantSpec) -> IntegralityVerdict:

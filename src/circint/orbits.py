@@ -16,9 +16,9 @@ A partition is stored flat: every member, block after block, in one
 unsigned array, and one (divisor, block size, block count) triple per run
 of consecutive blocks that share divisor and size; over a divisor every
 block has the same size, so a built partition has one run per divisor and
-holds about 4 bytes per residue. The block offsets and the
-residue-to-block index are built on first use, which a build alone never
-makes. ``blocks`` is a view of OrbitBlock objects built on each access.
+holds about 4 bytes per residue. No other module reads this layout: one
+lookup built on first use serves block(i), locate(x) and cover(S), and
+``blocks`` is a view of OrbitBlock objects built on each access.
 
 Blocks are ordered by (divisor, smallest member); block indices elsewhere
 always refer to this canonical order. Tools that order blocks differently
@@ -30,7 +30,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, groupby, repeat
+from itertools import accumulate, chain, compress, filterfalse, groupby, repeat
 from operator import itemgetter, lt, mod
 
 from . import limits
@@ -87,16 +87,23 @@ class OrbitPartition:
                 start += h
 
     @cached_property
-    def block_starts(self) -> array:
-        """Block i is members[block_starts[i]:block_starts[i + 1]]; built on
-        first use."""
-        return array("I", accumulate(chain.from_iterable(repeat(h, k) for _, h, k in self.runs), initial=0))
+    def _lookup(self) -> tuple[array, array]:
+        """(starts, index): block i is members[starts[i]:starts[i + 1]], and
+        block index[x] holds x; built in one walk on first use, never by a build."""
+        starts, index = array("I", [0]), array("I", bytes(4 * self.order))
+        for _, h, k in self.runs:
+            first, start = len(starts) - 1, starts[-1]
+            for j, x in enumerate(self.members[start:start + h * k]):
+                index[x] = first + j // h
+            starts.extend(accumulate(repeat(h, k - 1), initial=start + h))
+        return starts, index
 
     def block(self, i: int) -> array:
         """The members of block i."""
-        if not 0 <= i < len(self.block_starts) - 1:
-            raise IndexError(f"block index {i} outside [0, {len(self.block_starts) - 1})")
-        return self.members[self.block_starts[i]:self.block_starts[i + 1]]
+        starts = self._lookup[0]
+        if not 0 <= i < len(starts) - 1:
+            raise IndexError(f"block index {i} outside [0, {len(starts) - 1})")
+        return self.members[starts[i]:starts[i + 1]]
 
     @property
     def blocks(self) -> tuple[OrbitBlock, ...]:
@@ -104,24 +111,29 @@ class OrbitPartition:
         read it once."""
         return tuple(OrbitBlock(p, tuple(ms)) for p, ms in self.slices())
 
-    @cached_property
-    def block_of(self) -> array:
-        """block_of[x] is the index of the block holding x, 1 <= x < n;
-        built on first use."""
-        index = array("I", bytes(4 * self.order))
-        first = start = 0
-        for _, h, k in self.runs:
-            for j, x in enumerate(self.members[start:start + h * k]):
-                index[x] = first + j // h
-            first += k
-            start += h * k
-        return index
-
     def locate(self, x: int) -> int:
         """Index of the unique block containing x."""
         if not 1 <= x < self.order:
             raise OutOfRange(f"{x} outside [1, {self.order})")
-        return self.block_of[x]
+        return self._lookup[1][x]
+
+    def cover(self, members) -> tuple:
+        """(covered block indices, None) if S, distinct residues in [1, n),
+        is a union of blocks: the blocks it touches hold |S| members. Else
+        (None, (i, missing, present)): the first touched block i that S
+        covers in part, its members split in block order."""
+        starts, index = self._lookup
+        # one C-level gather; itemgetter returns a bare item for a single key
+        ids = itemgetter(*members)(index) if len(members) > 1 else [index[x] for x in members]
+        touched = sorted(set(ids))
+        if sum([starts[i + 1] - starts[i] for i in touched]) == len(members):
+            return tuple(touched), None
+        inside = set(members).__contains__
+        for i in touched:
+            block = self.members[starts[i]:starts[i + 1]].tolist()
+            present = tuple(filter(inside, block))
+            if len(present) < len(block):
+                return None, (i, tuple(filterfalse(inside, block)), present)
 
     def to_json(self) -> dict:
         return {

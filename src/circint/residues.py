@@ -49,6 +49,9 @@ class UnitSubgroup:
     def _member_set(self) -> frozenset[int]:
         return frozenset(self.elements)
 
+    def __hash__(self) -> int:  # a frozenset caches its hash, so cache lookups keyed by a field stay O(1)
+        return hash(self._member_set)
+
     def __len__(self) -> int:
         return len(self.elements)
 

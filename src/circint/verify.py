@@ -143,22 +143,23 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     start = time.perf_counter()
     limits.check_order(n)
     part = orbit_partition(n, field)
-    mismatches = []
+    mismatches, flat, fixers = [], [], None
     for bi, (_, block) in enumerate(part.slices()):
         members = tuple(block)
+        flat.extend(members)
         if not members:
             mismatches.append({"block": bi, "empty": True})
         with suppress(InvalidSet):  # members unsorted, repeated or out of range: a corrupted partition
             if oracle_is_integral(CirculantSpec(n, members), field):
                 continue
-        fixers = galois_subgroup_mod(field, n).elements
+        fixers = fixers or galois_subgroup_mod(field, n).elements  # fetched on the first rejected block
         for s in range(1, n):
             value = eigenvalue(n, members, s)
             for a in fixers[1:]:
                 if not cyc_equal(eigenvalue(n, members, a * s % n), value):
                     mismatches.append({"block": bi, "s": s, "moved_by": a})
                     break
-    if len(set(part.members)) < len(part.members):
+    if len(set(flat)) < len(flat):
         supports = [set(block) for _, block in part.slices()]
         for (i, first), (j, second) in combinations(enumerate(supports), 2):
             overlap = first & second

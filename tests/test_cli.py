@@ -92,6 +92,8 @@ def test_check_block_selector(capsys):
     assert json.loads(out)["S"] == [1, 4, 5]
     code, _, err = run_cli(capsys, "check", "8", "--set", "blocks:9", "--field", "Qi")
     assert code == 2 and "block index" in err
+    code, out, err = run_cli(capsys, "check", "8", "--set", "blocks:x", "--field", "Q")
+    assert code == 2 and out == "" and "bad block selector" in err
 
 
 def test_commands_never_build_the_blocks_view(capsys, monkeypatch):

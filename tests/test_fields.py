@@ -21,6 +21,7 @@ from circint import (
     galois_subgroup_mod,
     kronecker_symbol,
     parse_field,
+    subgroup_closure,
     units_mod,
 )
 
@@ -99,6 +100,11 @@ def test_kronecker_symbol_values():
     assert kronecker_symbol(7, 1) == 1
     with pytest.raises(BothZero):
         kronecker_symbol(0, 0)
+    # negative bottoms too
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if a or b:
+                assert kronecker_symbol(a, b) == sympy.kronecker_symbol(a, b), (a, b)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97])
@@ -213,6 +219,10 @@ def test_parse_field():
     assert custom.fixing_subgroup.elements == (1, 5)
     assert custom.describe() == "custom:8:5"
     assert parse_field("custom:12:").fixing_subgroup.elements == (1,)
+    # an unlabeled field names itself by its whole subgroup, which parses back
+    unlabeled = AbelianField(21, subgroup_closure(21, [4, 5]))
+    assert unlabeled.describe() == "custom:21:1,4,5,16,17,20"
+    assert parse_field(unlabeled.describe()) == unlabeled
 
 
 def test_parse_field_rejects():

@@ -111,6 +111,10 @@ def test_locate():
         part.locate(0)
     with pytest.raises(OutOfRange):
         part.locate(8)
+    assert part.block(part.block_count - 1).tolist() == [4]
+    for i in (-1, part.block_count):
+        with pytest.raises(IndexError):
+            part.block(i)
 
 
 def test_degenerate_and_limit_errors(monkeypatch):
@@ -277,6 +281,12 @@ def test_validate_rejects_blocks_that_are_not_orbits():
     unsorted = OrbitPartition.from_blocks(6, field_rationals(), [(1, (5, 1)), (2, (4, 2)), (3, (3,))])
     with pytest.raises(ValueError, match="ascending"):
         unsorted.validate()
+    relabeled = OrbitPartition.from_blocks(6, field_rationals(), [(1, (1, 5)), (2, (2, 4)), (1, (3,))])
+    with pytest.raises(ValueError, match="canonical order"):
+        relabeled.validate()
+    past_n = OrbitPartition.from_blocks(6, field_rationals(), [(1, (1, 5)), (2, (2, 6)), (3, (3,))])
+    with pytest.raises(ValueError, match=r"leaves \[1, 6\)"):
+        past_n.validate()
 
 
 @pytest.mark.parametrize("member", [-1, 2**32])
@@ -396,8 +406,8 @@ def scan_classify(part, members):
 
 @pytest.mark.parametrize("spec", KEYED_BUILD_FIELDS)
 def test_block_counts_decide_like_the_scan(spec):
-    # is_integral counts S's members per block through block_of; verdicts and
-    # witnesses must be those of the scan over every block
+    # is_integral counts S's members per block through the residue index;
+    # verdicts and witnesses must be those of the scan over every block
     field = parse_field(spec)
     rng = random.Random(spec)
     for n in range(2, 300):

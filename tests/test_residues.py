@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circint import (
+    CirculantSpec,
     DegenerateOrder,
     LimitExceeded,
     NotAUnit,
     UnitSubgroup,
     euler_phi,
+    is_integral,
+    oracle_is_integral,
+    parse_field,
     proper_divisors,
     subgroup_closure,
     units_mod,
@@ -78,6 +82,26 @@ def test_unit_subgroup_structural_checks():
         UnitSubgroup(8, (0, 1))  # 0 is a unit only modulo 1
     with pytest.raises(ValueError):
         UnitSubgroup(7, (1, 2))  # 2*2=4 escapes, caught via missing inverse
+
+
+class CountedTuple(tuple):
+    def __hash__(self):
+        self.hashes += 1
+        return super().__hash__()
+
+
+def test_fields_hash_without_rehashing_their_subgroup():
+    # the partition and oracle caches hash the field on every lookup; a
+    # subgroup of 10^4 or more elements must not be rehashed each time
+    field = parse_field("sqrt:-7")
+    elements = CountedTuple(field.fixing_subgroup.elements)
+    elements.hashes = 0
+    object.__setattr__(field.fixing_subgroup, "elements", elements)
+    for s in range(1, 101):
+        spec = CirculantSpec.of(28, {s % 27 + 1, 7})
+        is_integral(spec, field)
+        oracle_is_integral(spec, field)
+    assert elements.hashes <= 1
 
 
 @given(st.integers(1, 300))

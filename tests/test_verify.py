@@ -171,6 +171,19 @@ def test_lemma1_reports_corrupted_partitions_like_the_galois_reference(monkeypat
     assert {"blocks": [0, 1], "overlap": [1, 5]} in rep.mismatches
 
 
+def test_lemma1_fetches_the_galois_subgroup_once(monkeypatch):
+    field = field_gaussian()
+    blocks = [(b.divisor, b.members) for b in orbit_partition(24, field).blocks]
+    regrouped = OrbitPartition.from_blocks(24, field, [(1, (1, 5, 7, 11)), (1, (13, 17, 19, 23))] + blocks[2:])
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: regrouped)
+    calls, fetch = [], circint.verify.galois_subgroup_mod
+    monkeypatch.setattr(circint.verify, "galois_subgroup_mod", lambda k, g: calls.append(g) or fetch(k, g))
+    rep = lemma1_check(24, field)
+    assert calls == [24]
+    assert {m["block"] for m in rep.mismatches} == {0, 1}  # two rejected blocks
+    assert rep.to_json(include_elapsed=False) == galois_lemma1_check(24, field).to_json(include_elapsed=False)
+
+
 def test_lemma1_reaches_the_exact_order_bound():
     # over cyclo:10000 every residue is its own block: r = 9999 oracle calls
     # and about 5 * 10^7 block pairs, which are not intersected one by one
