@@ -62,7 +62,6 @@ from .residues import (
     euler_phi,
     proper_divisors,
     subgroup_closure,
-    units_mod,
 )
 from .verify import VerificationReport, cross_verify, lattice_cross_verify, lemma1_check
 
@@ -117,6 +116,5 @@ __all__ = [
     "r_count",
     "reduce_coefficients",
     "subgroup_closure",
-    "units_mod",
     "verdict_to_json",
 ]

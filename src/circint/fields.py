@@ -14,6 +14,7 @@ distinction matters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from math import gcd, prod
 
 from . import limits
@@ -140,7 +141,14 @@ def _galois_subgroup(field: AbelianField, g: int) -> UnitSubgroup:
 def _fixing_mod(field: AbelianField, g: int) -> tuple[int, frozenset[int]]:
     """d = gcd(conductor, g) and the fixing subgroup mod d; see galois_subgroup_mod."""
     d = gcd(field.conductor, g)
-    return d, frozenset(h % d for h in field.fixing_subgroup.elements)
+    return d, _reduced(field, d)
+
+
+@lru_cache(maxsize=256)  # bounded: H is listed once per (field, d) while its entry is cached
+def _reduced(field: AbelianField, d: int) -> frozenset[int]:
+    # H mod its own conductor is H: share the subgroup's set, 3.7 MB for sqrt:99989, not a copy
+    h = field.fixing_subgroup
+    return h._member_set if d == field.conductor else frozenset(x % d for x in h.elements)
 
 
 def parse_field(text: str) -> AbelianField:

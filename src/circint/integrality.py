@@ -9,7 +9,7 @@ distinct connection sets, with no identification of isomorphic digraphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import lt
 
 from . import limits
@@ -71,7 +71,7 @@ def is_integral(spec: CirculantSpec, field: AbelianField) -> IntegralityVerdict:
     """Decide integrality over the field: the connection set must be a
     union of whole orbit blocks. The verdict carries either the covered
     block indices or the first partially covered block as witness."""
-    covered, witness = orbit_partition(spec.order, field).cover(spec.connection_set)
+    covered, witness = orbit_partition(spec.order, field)._cover(spec.connection_set)
     if witness is None:
         return IntegralityVerdict(True, block_indices=covered)
     return IntegralityVerdict(False, violation=BlockViolation(*witness))
@@ -93,19 +93,23 @@ def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
     Order is the binary counter over canonical block indices (bit i covers
     block i): the empty set comes first and all of {1, ..., n-1} last.
     Without an explicit ``limit`` the full count must fit the enumeration
-    budget.
+    budget; a negative ``limit`` raises ValueError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     part = orbit_partition(n, field)
     r = part.block_count
     total = 1 << r
     cap = limits.enum_budget()
     if limit is None and total > cap:
         raise TooManyOrbits(f"2^{r} sets exceeds budget {cap}; pass a limit")
+    masks = range(total if limit is None else min(total, limit))
 
     def _generate():
-        for mask in range(total if limit is None else min(total, limit)):
-            members = sorted(chain.from_iterable(
-                part.block(i) for i in range(mask.bit_length()) if mask >> i & 1))
+        # the last mask is the largest, so no mask reaches a block past its top bit
+        blocks = [ms for _, ms in islice(part.slices(), (masks.stop - 1).bit_length())]
+        for mask in masks:
+            members = sorted(chain.from_iterable(blocks[i] for i in range(mask.bit_length()) if mask >> i & 1))
             yield CirculantSpec(n, tuple(members))
 
     return _generate()

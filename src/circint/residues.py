@@ -89,14 +89,6 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-def units_mod(n: int) -> UnitSubgroup:
-    """The full unit group modulo n."""
-    if n < 1:
-        raise DegenerateOrder(f"units_mod needs n >= 1, got {n}")
-    limits.check_modulus(n)
-    return UnitSubgroup(n, tuple(x for x in range(n) if gcd(x, n) == 1))
-
-
 def subgroup_closure(n: int, generators) -> UnitSubgroup:
     """Smallest multiplicatively closed subset of the units mod n containing
     1 and every generator."""

@@ -5,11 +5,18 @@ coefficient vectors, kept so that tests can check the identity
 sigma_a(P(s)) = P(a*s) the library relies on instead. dense_reduce and
 dense_equal are the division by the n-th cyclotomic polynomial that
 cyc_equal used before it tested zero along cosets, kept as its reference.
+reference_units is the gcd scan that listed the unit group mod n before
+galois_subgroup_mod over the rationals took its place.
 """
 
 from math import gcd
 
-from circint import CyclotomicInteger, NotAUnit, cyclotomic_polynomial
+from circint import CyclotomicInteger, NotAUnit, UnitSubgroup, cyclotomic_polynomial
+
+
+def reference_units(n):
+    """The full unit group modulo n, by a gcd scan of [0, n)."""
+    return UnitSubgroup(n, tuple(x for x in range(n) if gcd(x, n) == 1))
 
 
 def zero(n):

@@ -16,8 +16,10 @@ from circint import (
     field_rationals,
     is_gauss_integral,
     is_integral,
+    orbit_partition,
     verdict_to_json,
 )
+from circint.orbits import _partition_cached
 
 PRESETS = [
     field_rationals(),
@@ -135,6 +137,24 @@ def test_enumerate_budget(monkeypatch):
         list(enumerate_integral(6, field_rationals()))
     # a limit waives the budget
     assert len(list(enumerate_integral(6, field_rationals(), limit=3))) == 3
+
+
+def test_enumerate_rejects_a_negative_limit():
+    with pytest.raises(ValueError):
+        enumerate_integral(6, field_rationals(), limit=-1)
+
+
+@pytest.mark.parametrize("n,field", [(8, field_gaussian()), (36, field_quadratic(-3)), (30, field_rationals())])
+def test_enumerate_reads_blocks_without_the_lookup(n, field):
+    # the stream walks the first blocks once; the residue index of block(i) is never built
+    _partition_cached.cache_clear()
+    part = orbit_partition(n, field)
+    blocks = [b.members for b in part.blocks]
+    for limit in (0, 1, 3, 6):
+        expected = [tuple(sorted(x for i, ms in enumerate(blocks) if mask >> i & 1 for x in ms))
+                    for mask in range(limit)]
+        assert [s.connection_set for s in enumerate_integral(n, field, limit=limit)] == expected
+    assert "_lookup" not in part.__dict__
 
 
 def test_count_integral():

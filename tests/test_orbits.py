@@ -117,6 +117,13 @@ def test_locate():
             part.block(i)
 
 
+@pytest.mark.parametrize("members", [[0], [-1], [6], [1, 6], [-1, 5]])
+def test_cover_rejects_residues_outside_the_range(members):
+    # 0 and -1 would read the index of residue 0 or 5, 6 would read past it
+    with pytest.raises(OutOfRange):
+        orbit_partition(6, field_rationals()).cover(members)
+
+
 def test_degenerate_and_limit_errors(monkeypatch):
     with pytest.raises(DegenerateOrder):
         orbit_partition(1, field_rationals())
@@ -155,9 +162,32 @@ def test_orders_past_the_conductor_lcm(n, spec):
 def test_caches_are_bounded():
     # a sweep over many orders must not keep every partition and subgroup
     for cached in (circint.orbits._partition_cached, circint.cyclotomic._cyclotomic, circint.cyclotomic._coset_plan,
-                   circint.oracle._divisor_gathers):
+                   circint.oracle._divisor_gathers, circint.fields._reduced):
         maxsize = cached.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
+
+
+class WalkCountedTuple(tuple):
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_fixing_subgroup_is_reduced_once_per_divisor_of_the_conductor():
+    # the build, its checks and r_count read H mod d = gcd(21, 420/p) for each of the 23 divisors p
+    # of 420, and galois_subgroup_mod reads it at every g; H is listed once for each of the 4 values of d
+    field = parse_field("custom:21:4")
+    hash(field)
+    elements = WalkCountedTuple(field.fixing_subgroup.elements)
+    object.__setattr__(field.fixing_subgroup, "elements", elements)
+    circint.fields._reduced.cache_clear()
+    circint.orbits._partition_cached.cache_clear()
+    elements.walks = 0
+    orbit_partition(420, field)
+    r_count(420, field)
+    for g in (1, 3, 7, 12, 21, 35, 420):
+        galois_subgroup_mod(field, g)
+    assert elements.walks <= len({gcd(21, g) for g in sympy.divisors(420)}) == 4
 
 
 def test_json_shape():

@@ -10,13 +10,15 @@ from circint import (
     NotAUnit,
     UnitSubgroup,
     euler_phi,
+    field_rationals,
+    galois_subgroup_mod,
     is_integral,
     oracle_is_integral,
     parse_field,
     proper_divisors,
     subgroup_closure,
-    units_mod,
 )
+from cyc_helpers import reference_units
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (8, 4), (12, 4), (7, 6), (100, 40)])
@@ -25,11 +27,19 @@ def test_euler_phi_values(n, expected):
 
 
 def test_units_mod_values():
-    assert units_mod(8).elements == (1, 3, 5, 7)
-    assert units_mod(7).elements == (1, 2, 3, 4, 5, 6)
-    assert units_mod(12).elements == (1, 5, 7, 11)
-    assert units_mod(1).elements == (0,)
-    assert units_mod(1).modulus == 1
+    # the unit group mod n is the Galois subgroup of the rationals at n
+    def units(n):
+        return galois_subgroup_mod(field_rationals(), n)
+
+    assert units(8).elements == (1, 3, 5, 7)
+    assert units(7).elements == (1, 2, 3, 4, 5, 6)
+    assert units(12).elements == (1, 5, 7, 11)
+    assert units(1).elements == (0,)
+    assert units(1).modulus == 1
+    for n in (1, 8, 7, 12):
+        assert units(n) == reference_units(n)
+    with pytest.raises(DegenerateOrder):
+        units(0)
 
 
 def test_subgroup_closure_examples():
@@ -61,7 +71,7 @@ def test_proper_divisors_degenerate():
 
 def test_modulus_limit_enforced(monkeypatch):
     with pytest.raises(LimitExceeded):
-        units_mod(100_001)
+        galois_subgroup_mod(field_rationals(), 100_001)
     monkeypatch.setenv("CIRC_LIMIT_MODULUS", "10")
     with pytest.raises(LimitExceeded):
         euler_phi(50)
@@ -106,7 +116,8 @@ def test_fields_hash_without_rehashing_their_subgroup():
 
 @given(st.integers(1, 300))
 def test_units_have_phi_many_elements(n):
-    group = units_mod(n)
+    group = galois_subgroup_mod(field_rationals(), n)
+    assert group == reference_units(n)
     assert len(group) == euler_phi(n)
     assert all(a * b % n in group for a in group.elements for b in group.elements)
 
@@ -120,13 +131,13 @@ def test_gcd_classes_partition_the_range(n):
         assert not seen.intersection(cls)
         seen.update(cls)
         # p times the units mod n/p gives the same class
-        assert cls == tuple(p * u for u in units_mod(n // p).elements)
+        assert cls == tuple(p * u for u in galois_subgroup_mod(field_rationals(), n // p).elements)
     assert seen == set(range(1, n))
 
 
 @given(st.integers(2, 120), st.data())
 def test_closure_output_is_a_subgroup(n, data):
-    units = units_mod(n).elements
+    units = galois_subgroup_mod(field_rationals(), n).elements
     gens = data.draw(st.sets(st.sampled_from(units), max_size=4))
     group = subgroup_closure(n, gens)
     assert all(a * b % n in group for a in group.elements for b in group.elements)
