@@ -146,9 +146,7 @@ def _fixing_mod(field: AbelianField, g: int) -> tuple[int, frozenset[int]]:
 
 @lru_cache(maxsize=256)  # bounded: H is listed once per (field, d) while its entry is cached
 def _reduced(field: AbelianField, d: int) -> frozenset[int]:
-    # H mod its own conductor is H: share the subgroup's set, 3.7 MB for sqrt:99989, not a copy
-    h = field.fixing_subgroup
-    return h._member_set if d == field.conductor else frozenset(x % d for x in h.elements)
+    return frozenset(x % d for x in field.fixing_subgroup.elements)
 
 
 def parse_field(text: str) -> AbelianField:

@@ -122,14 +122,17 @@ class OrbitPartition:
         is a union of blocks: the blocks it touches hold |S| members. Else
         (None, (i, missing, present)): the first touched block i that S
         covers in part, its members split in block order. A member outside
-        [1, n) raises OutOfRange."""
+        [1, n) raises OutOfRange, a repeated member ValueError."""
         if members and not 1 <= min(members) <= max(members) < self.order:
             raise OutOfRange(f"set spans {min(members)}..{max(members)}, not inside [1, {self.order})")
+        if len(set(members)) != len(members):
+            raise ValueError("set repeats a member")
         return self._cover(members)
 
     def _cover(self, members) -> tuple:
-        """cover for a CirculantSpec's connection set, in range by construction:
-        the range check's two passes over S would double the cost of a call."""
+        """cover for a CirculantSpec's connection set, in range and without
+        repeats by construction: the checks' passes over S would double the
+        cost of a call."""
         starts, index = self._lookup
         # one C-level gather; itemgetter returns a bare item for a single key
         ids = itemgetter(*members)(index) if len(members) > 1 else [index[x] for x in members]

@@ -124,6 +124,13 @@ def test_cover_rejects_residues_outside_the_range(members):
         orbit_partition(6, field_rationals()).cover(members)
 
 
+@pytest.mark.parametrize("members", [[1, 1], [5, 1, 1]])
+def test_cover_rejects_repeated_residues(members):
+    # the touched blocks' sizes would sum to |S| for [1, 1]; [5, 1, 1] would find no partial block
+    with pytest.raises(ValueError, match="repeats"):
+        orbit_partition(6, field_rationals()).cover(members)
+
+
 def test_degenerate_and_limit_errors(monkeypatch):
     with pytest.raises(DegenerateOrder):
         orbit_partition(1, field_rationals())
