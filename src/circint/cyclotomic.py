@@ -71,7 +71,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise DegenerateOrder(f"cyclotomic polynomial needs n >= 1, got {n}")
-    limits.check_order(n)
+    limits.check_modulus(n)
     return _cyclotomic(n)
 
 

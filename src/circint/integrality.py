@@ -102,7 +102,7 @@ def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
     total = 1 << r
     cap = limits.enum_budget()
     if limit is None and total > cap:
-        raise TooManyOrbits(f"2^{r} sets exceeds budget {cap}; pass a limit")
+        raise TooManyOrbits(f"2^{r} sets exceeds budget {cap}; pass a limit (--limit) or raise {limits.ENV_ENUM}")
     masks = range(total if limit is None else min(total, limit))
 
     def _generate():

@@ -25,12 +25,13 @@ ENV_ENUM = "CIRC_LIMIT_ENUM"
 def check_modulus(n: int) -> None:
     bound = _env_limit(ENV_MODULUS) or MODULUS_LIMIT
     if n > bound:
-        raise LimitExceeded(f"modulus {n} exceeds limit {bound}")
+        raise LimitExceeded(f"modulus {n} exceeds limit {bound}; {ENV_MODULUS} raises it")
 
 
 def check_order(n: int) -> None:
     if n > EXACT_ORDER_LIMIT:
-        raise LimitExceeded(f"order {n} exceeds exact-arithmetic limit {EXACT_ORDER_LIMIT}")
+        raise LimitExceeded(f"order {n} exceeds exact-order limit {EXACT_ORDER_LIMIT}, which bounds spectrum "
+                            f"--exact and the search of a rejected block; no environment variable raises it")
 
 
 def enum_budget() -> int:

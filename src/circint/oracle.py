@@ -34,7 +34,8 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
     cyclotomic arithmetic.
 
     zeta -> zeta^h sends the eigenvalue at frequency r to the one at h*r,
-    so all are fixed outright when h*S = S for every h in H. Otherwise, as
+    so all are fixed outright when h*S = S for every h in H, that is, when
+    the H-orbits that S meets hold |S| residues. Otherwise, as
     the eigenvalue at d*u, u a unit, is the image of the one at d and the
     Galois group is abelian, only the proper divisors d of n are tested.
     The eigenvalue at d has order m = n/d, its coefficients the counts of
@@ -44,16 +45,15 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
     until one differs. The orders m are taken increasing, shortest first.
     """
     n = spec.order
-    limits.check_order(n)
     limits.check_modulus(n)
-    gathers = _divisor_gathers(field, n)
+    gathers, leader_of, orbit_size = _divisor_gathers(field, n)
+    members = spec.connection_set
+    if sum(map(orbit_size.__getitem__, set(map(leader_of.__getitem__, members)))) == len(members):
+        return True
     indicator = bytearray(n)
-    for s in spec.connection_set:
+    for s in members:
         indicator[s] = 1
     whole = tuple(indicator)
-    _, _, spread = gathers[-1]
-    if spread(whole) == whole:
-        return True
     for m, fixers, spread in gathers:
         counts = whole if m == n else tuple([sum(indicator[k::m]) for k in range(m)])
         if spread(counts) == counts:
@@ -70,11 +70,14 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
 
 @lru_cache(maxsize=256)  # bounded; read once per oracle_is_integral call, so per block in lemma1_check
 def _divisor_gathers(field: AbelianField, n: int):
-    """For each divisor m > 1 of n, increasing, so ending at m = n: m, the
-    elements of the field's Galois subgroup H at modulus m, ascending, and
-    spread, a gather with spread(v) == v exactly when the length-m vector v
-    is constant on the H-orbits of {0, ..., m-1}, that is, when no element
-    of H moves the value of order m that v denotes."""
+    """(gathers, leader_of, orbit_size). gathers holds, for each divisor
+    m > 1 of n, increasing, so ending at m = n: m, the elements of the
+    field's Galois subgroup H at modulus m, ascending, and spread, a gather
+    with spread(v) == v exactly when the length-m vector v is constant on
+    the H-orbits of {0, ..., m-1}, that is, when no element of H moves the
+    value of order m that v denotes. leader_of[r] is the least member of
+    the H-orbit of r at modulus n, and orbit_size[l] the size of the orbit
+    led by l (0 where l leads none)."""
     gathers = []
     for d in reversed(_proper_divisors(n)):
         m = n // d
@@ -85,7 +88,10 @@ def _divisor_gathers(field: AbelianField, n: int):
                 for h in elements:
                     leader_of[h * r % m] = r
         gathers.append((m, elements, itemgetter(*leader_of)))
-    return tuple(gathers)
+    orbit_size = [0] * n
+    for r in leader_of:
+        orbit_size[r] += 1
+    return tuple(gathers), leader_of, orbit_size
 
 
 def numeric_spectrum(spec) -> list[complex]:

@@ -71,8 +71,9 @@ def _subset_masks(n: int, samples: int | None, seed: int):
     return [rng.getrandbits(n - 1) for _ in range(samples)], "sample", seed
 
 
-def _members(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
+def _members(mask: int) -> tuple[int, ...]:
+    """Bit i covers residue i + 1; one pass over bin(mask), not a shift per bit."""
+    return tuple(i for i, b in enumerate(reversed(bin(mask)), 1) if b == "1")
 
 
 def _sweep(n: int, field: AbelianField, samples: int | None, seed: int, mode: str | None,
@@ -84,7 +85,7 @@ def _sweep(n: int, field: AbelianField, samples: int | None, seed: int, mode: st
     masks, sweep_mode, used_seed = _subset_masks(n, samples, seed)
     mismatches = []
     for mask in masks:
-        spec = CirculantSpec(n, _members(mask, n))
+        spec = CirculantSpec(n, _members(mask))
         got = decide(spec)
         expected = oracle_is_integral(spec, field)
         if got != expected:
@@ -104,7 +105,6 @@ def cross_verify(n: int, field: AbelianField, *, samples: int | None = None,
     entries record the subset with the oracle verdict as expected value,
     sorted by subset.
     """
-    limits.check_order(n)
     return _sweep(n, field, samples, seed, None, lambda spec: is_integral(spec, field).integral)
 
 
@@ -117,7 +117,6 @@ def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
     rather than its spec: degree 1 is Q, and degree 2 with a fixing
     subgroup trivial mod 4 contains i, so it is Q(i). Advisory by design.
     """
-    limits.check_order(n)
     if field.degree == 1:
         lattice = RATIONAL_LATTICE
     elif field.degree == 2 and galois_subgroup_mod(field, 4).elements == (1,):
@@ -136,12 +135,13 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     of a block. A block it rejects, or whose members are not a valid
     connection set, is searched: the image of P_B(s) under zeta -> zeta^a
     is P_B(a*s), so each a in the Galois subgroup at modulus n is checked
-    by comparing those two, and the first a that moves it is recorded.
+    by comparing those two, and the first a that moves it is recorded. The
+    search is O(n^2 |H|), so above the exact-order bound it raises
+    LimitExceeded instead.
     One case per block pair verifies disjoint supports; the pairs are
     intersected only when some residue repeats. Empty blocks are rejected.
     """
     start = time.perf_counter()
-    limits.check_order(n)
     part = orbit_partition(n, field)
     mismatches, flat, fixers = [], [], None
     for bi, (_, block) in enumerate(part.slices()):
@@ -152,6 +152,7 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
         with suppress(InvalidSet):  # members unsorted, repeated or out of range: a corrupted partition
             if oracle_is_integral(CirculantSpec(n, members), field):
                 continue
+        limits.check_order(n)  # only a corrupted partition reaches the search
         fixers = fixers or galois_subgroup_mod(field, n).elements  # fetched on the first rejected block
         for s in range(1, n):
             value = eigenvalue(n, members, s)

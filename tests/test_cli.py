@@ -186,6 +186,32 @@ def test_modulus_limit_env(capsys, monkeypatch):
     assert code == 3 and out == "" and "limit" in err
 
 
+def test_modulus_limit_names_its_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", "10")
+    code, out, err = run_cli(capsys, "partition", "50", "--field", "Q")
+    assert code == 3 and out == "" and "modulus 50 exceeds limit 10" in err and "CIRC_LIMIT_MODULUS" in err
+
+
+def test_enumeration_budget_names_the_flag_and_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CIRC_LIMIT_ENUM", "4")
+    code, out, err = run_cli(capsys, "enumerate", "6", "--field", "Q")
+    assert code == 3 and out == "" and "--limit" in err and "CIRC_LIMIT_ENUM" in err
+
+
+def test_exact_order_limit_says_what_it_bounds(capsys, monkeypatch):
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", "200000")  # the variable that raises the modulus bound does not help
+    code, out, err = run_cli(capsys, "spectrum", "10001", "--set", "1", "--exact")
+    assert code == 3 and out == ""
+    assert "exact-order limit 10000" in err and "spectrum --exact" in err and "no environment variable" in err
+
+
+def test_verify_answers_above_the_exact_order_bound(capsys):
+    code, out, _ = run_cli(capsys, "verify", "10007", "--field", "Q", "--samples", "2", "--lemma1")
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and [(d["n"], d["mode"], d["mismatches"]) for d in docs] == [
+        (10007, "sample", []), (10007, "lemma1", [])]
+
+
 def test_spectrum_numeric(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "4", "--set", "1", "--numeric")
     assert code == 0

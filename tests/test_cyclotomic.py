@@ -51,9 +51,11 @@ def test_cyclotomic_polynomial_105_has_coefficient_minus_two():
 
 
 def test_cyclotomic_order_limit(monkeypatch):
+    # bounded by the modulus bound, not the exact-order bound
+    assert len(cyclotomic_polynomial(10_001)) == euler_phi(10_001) + 1
     with pytest.raises(LimitExceeded):
-        cyclotomic_polynomial(10_001)
-    monkeypatch.setattr(limits, "EXACT_ORDER_LIMIT", 200)
+        cyclotomic_polynomial(limits.MODULUS_LIMIT + 1)
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", "200")
     with pytest.raises(LimitExceeded):
         cyclotomic_polynomial(300)
 

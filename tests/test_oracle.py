@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from circint import (
     field_quadratic,
     field_rationals,
     galois_subgroup_mod,
+    is_integral,
     numeric_lattice_check,
     numeric_spectrum,
     oracle_is_integral,
@@ -137,22 +139,34 @@ def test_orbit_walk_matches_reference_oracle():
 
 
 def test_oracle_reduces_nothing_on_block_unions(monkeypatch):
-    # every element of H maps a union of blocks to itself, so one gather
-    # settles it: no eigenvalue is built and nothing is tested for zero
+    # every element of H maps a union of blocks to itself, so the H-orbits
+    # it meets hold |S| residues and settle it in O(|S|): no length-n
+    # gather runs, no eigenvalue is built and nothing is tested for zero
     counter = ZeroTestCounter(monkeypatch)
-    built = []
+    built, gathered = [], []
     original = circint.cyclotomic.CyclotomicInteger.__post_init__
     monkeypatch.setattr(circint.cyclotomic.CyclotomicInteger, "__post_init__",
                         lambda self: built.append(self.order) or original(self))
-    rng = random.Random(7)
-    for spec_text in ("Q", "Qi", "sqrt:-7", "cyclo:12"):
-        field = parse_field(spec_text)
-        for n in (12, 35, 64, 97, 120):
-            unions, _, _ = seeded_sets(n, field, rng)
-            for members in unions:
-                assert oracle_is_integral(CirculantSpec.of(n, members), field)
-    assert built == []
-    assert counter.calls == 0
+
+    def counted_itemgetter(*keys):
+        gather = itemgetter(*keys)
+        return lambda v: gathered.append(len(v)) or gather(v)
+
+    monkeypatch.setattr(circint.oracle, "itemgetter", counted_itemgetter)
+    circint.oracle._divisor_gathers.cache_clear()
+    try:
+        rng = random.Random(7)
+        for spec_text in ("Q", "Qi", "sqrt:-7", "cyclo:12"):
+            field = parse_field(spec_text)
+            for n in (12, 35, 64, 97, 120):
+                unions, _, _ = seeded_sets(n, field, rng)
+                for members in unions:
+                    assert oracle_is_integral(CirculantSpec.of(n, members), field)
+        assert gathered == [] and built == [] and counter.calls == 0
+        # a set that is not a union of blocks walks the gathers
+        assert not oracle_is_integral(CirculantSpec.of(64, [1]), field_rationals()) and gathered
+    finally:
+        circint.oracle._divisor_gathers.cache_clear()  # drop the counting gathers
 
 
 @pytest.mark.parametrize("spec_text, reductions",
@@ -179,6 +193,18 @@ def test_oracle_reaches_the_exact_order_bound():
               "    assert oracle_is_integral(full, parse_field(field))\n"
               "assert not oracle_is_integral(CirculantSpec(1001, tuple(range(1, 1001, 7))), parse_field('Q'))\n")
     subprocess.run([sys.executable, "-c", script], timeout=5, check=True)
+
+
+@pytest.mark.parametrize("n, spec", [(10007, "Q"), (12000, "Qi"), (12000, "sqrt:-7")])
+def test_oracle_answers_above_the_exact_order_bound(n, spec):
+    field = parse_field(spec)
+    blocks = [b.members for b in orbit_partition(n, field).blocks]
+    union = sorted(x for ms in blocks[::2] for x in ms)
+    assert oracle_is_integral(CirculantSpec.of(n, union), field)
+    # less the first member of block 0, which has others
+    assert len(blocks[0]) > 1 and not oracle_is_integral(CirculantSpec.of(n, union[1:]), field)
+    sparse = CirculantSpec.of(n, [1, 5, 7])
+    assert oracle_is_integral(sparse, field) == is_integral(sparse, field).integral
 
 
 def test_oracle_reduces_at_most_once_per_eigenvalue(monkeypatch):

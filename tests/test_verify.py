@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -185,12 +186,56 @@ def test_lemma1_fetches_the_galois_subgroup_once(monkeypatch):
 
 
 def test_lemma1_reaches_the_exact_order_bound():
-    # over cyclo:10000 every residue is its own block: r = 9999 oracle calls
-    # and about 5 * 10^7 block pairs, which are not intersected one by one
+    # over cyclo:10000 every residue is its own block: r = 9999 oracle calls,
+    # each O(1) on its one member, and about 5 * 10^7 block pairs, which are
+    # not intersected one by one
     script = ("from circint import field_cyclotomic, lemma1_check\n"
               "rep = lemma1_check(10000, field_cyclotomic(10000))\n"
               "assert rep.passed and rep.cases_checked == 9999 * 9999 + 9999 * 9998 // 2\n")
-    subprocess.run([sys.executable, "-c", script], timeout=20, check=True)
+    subprocess.run([sys.executable, "-c", script], timeout=5, check=True)
+
+
+def test_members_decode_masks_like_a_shift_per_bit():
+    def shifted(mask, n):
+        return tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
+
+    for n in range(2, 13):
+        for mask in range(1 << (n - 1)):
+            assert circint.verify._members(mask) == shifted(mask, n)
+    rng = random.Random(5000)
+    for _ in range(20):
+        mask = rng.getrandbits(4999)
+        assert circint.verify._members(mask) == shifted(mask, 5000)
+
+
+@pytest.mark.parametrize("n, spec", [(10007, "Q"), (12000, "Qi")])
+def test_cross_verify_answers_above_the_exact_order_bound(n, spec):
+    rep = cross_verify(n, parse_field(spec), samples=3)
+    assert rep.passed and rep.cases_checked == 3 and rep.mode == "sample"
+
+
+def test_lemma1_answers_above_the_exact_order_bound():
+    rep = lemma1_check(10007, field_cyclotomic(10007))
+    assert rep.passed and rep.cases_checked == 10006 * 10006 + 10006 * 10005 // 2
+
+
+def test_lattice_cross_verify_answers_above_the_exact_order_bound():
+    rep = lattice_cross_verify(10007, field_rationals(), samples=2)
+    assert rep.passed and rep.cases_checked == 2 and rep.mode == "numeric"
+
+
+def test_lemma1_refuses_to_search_a_rejected_block_above_the_exact_order_bound(monkeypatch):
+    # the single block over Q at a prime n, split in two: each half is rejected by the oracle,
+    # and the O(n^2 |H|) search of it is refused instead of run
+    n, field = 10007, field_rationals()
+    split = OrbitPartition.from_blocks(n, field, [(1, range(1, 5004)), (1, range(5004, n))])
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: split)
+    judged, searched, oracle = [], [], circint.verify.oracle_is_integral
+    monkeypatch.setattr(circint.verify, "oracle_is_integral", lambda spec, k: judged.append(spec) or oracle(spec, k))
+    monkeypatch.setattr(circint.verify, "eigenvalue", lambda *args: searched.append(args))
+    with pytest.raises(LimitExceeded, match="exact-order limit"):
+        lemma1_check(n, field)
+    assert [spec.connection_set for spec in judged] == [tuple(range(1, 5004))] and searched == []
 
 
 def test_report_json_shape():
