@@ -19,17 +19,14 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
 
 from . import limits
-from .cyclotomic import eigenvalue, reduce_coefficients
 from .errors import CircError, InvalidSet, LimitExceeded, TooManyOrbits
 from .fields import parse_field
-from .integrality import (CirculantSpec, IntegralityVerdict, count_integral, enumerate_integral, is_integral,
-                          verdict_to_json)
-from .oracle import numeric_spectrum
 from .orbits import orbit_partition
-from .verify import cross_verify, lattice_cross_verify, lemma1_check
+
+# Each handler imports the modules only it calls, so a short command does
+# not pay to load, compile and run the rest of the package.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -102,6 +99,8 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .integrality import CirculantSpec, is_integral, verdict_to_json
+
     field = parse_field(args.field)
     members = _parse_set_spec(args.set, args.n, field)
     spec = CirculantSpec.of(args.n, members)
@@ -124,6 +123,10 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise CircError(f"--limit must be non-negative, got {args.limit}")
+    from decimal import Decimal
+
+    from .integrality import IntegralityVerdict, count_integral, enumerate_integral, verdict_to_json
+
     field = parse_field(args.field)
     sets = enumerate_integral(args.n, field, limit=args.limit)
     emitted = 0
@@ -138,15 +141,21 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .integrality import CirculantSpec
+
     members = _parse_set_spec(args.set, args.n, None)
     spec = CirculantSpec.of(args.n, members)
     n = spec.order
     limits.check_modulus(n)
     if args.exact:
         limits.check_order(n)
+        from .cyclotomic import eigenvalue, reduce_coefficients
+
         rows = [list(reduce_coefficients(eigenvalue(n, spec.connection_set, r))) for r in range(n)]
         mode = "exact"
     else:
+        from .oracle import numeric_spectrum
+
         rows = [[_sig(z.real), _sig(z.imag)] for z in numeric_spectrum(spec)]
         mode = "numeric"
     print(_dumps({"n": n, "S": list(spec.connection_set), "mode": mode, "spectrum": rows}))
@@ -154,6 +163,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import cross_verify, lattice_cross_verify, lemma1_check
+
     field = parse_field(args.field)
     lo, hi = _parse_range(args.range)
     samples = None if args.exhaustive else args.samples

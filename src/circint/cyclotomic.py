@@ -11,7 +11,6 @@ possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, cycle
 from math import prod
@@ -19,13 +18,17 @@ from operator import sub
 
 from . import limits
 from .errors import DegenerateOrder, OrderMismatch, OutOfRange
+from .records import Record
 from .residues import _prime_factors
 
 
-@dataclass(frozen=True)
-class CyclotomicInteger:
-    order: int
-    coefficients: tuple[int, ...]
+class CyclotomicInteger(Record):
+    _fields = ("order", "coefficients")
+
+    def __init__(self, order: int, coefficients: tuple[int, ...]):
+        d = self.__dict__
+        d["order"], d["coefficients"] = order, coefficients
+        self.__post_init__()
 
     def __post_init__(self):
         if self.order < 1:

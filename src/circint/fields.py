@@ -13,26 +13,36 @@ distinction matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import gcd, prod
 
 from . import limits
 from .errors import BothZero, DegenerateInput, DegenerateOrder, FieldSpecError, NotSquarefree
+from .records import Record
 from .residues import UnitSubgroup, _euler_phi, _prime_factors, euler_phi, subgroup_closure
 
 
-@dataclass(frozen=True)
-class AbelianField:
-    conductor: int
-    fixing_subgroup: UnitSubgroup
-    label: str | None = dc_field(default=None, compare=False)
+class AbelianField(Record):
+    _fields = ("conductor", "fixing_subgroup", "label")
+
+    def __init__(self, conductor: int, fixing_subgroup: UnitSubgroup, label: str | None = None):
+        d = self.__dict__
+        d["conductor"], d["fixing_subgroup"], d["label"] = conductor, fixing_subgroup, label
+        self.__post_init__()
 
     def __post_init__(self):
         if self.fixing_subgroup.modulus != self.conductor:
             raise ValueError("fixing subgroup modulus differs from conductor")
         if euler_phi(self.conductor) % len(self.fixing_subgroup):
             raise ValueError("subgroup order does not divide phi(conductor)")
+
+    def __eq__(self, other):  # the label is a display name, not part of the value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.conductor == other.conductor and self.fixing_subgroup == other.fixing_subgroup
+
+    def __hash__(self) -> int:
+        return hash((self.conductor, self.fixing_subgroup))
 
     @property
     def degree(self) -> int:

@@ -8,7 +8,6 @@ distinct connection sets, with no identification of isomorphic digraphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import lt
 
@@ -16,14 +15,18 @@ from . import limits
 from .errors import DegenerateOrder, InvalidSet, TooManyOrbits
 from .fields import AbelianField, field_gaussian
 from .orbits import orbit_partition, r_count
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(Record):
     """A circulant digraph D(n, S): order n and loop-free connection set."""
 
-    order: int
-    connection_set: tuple[int, ...]
+    _fields = ("order", "connection_set")
+
+    def __init__(self, order: int, connection_set: tuple[int, ...]):
+        d = self.__dict__
+        d["order"], d["connection_set"] = order, connection_set
+        self.__post_init__()
 
     def __post_init__(self):
         if self.order < 2:
@@ -49,18 +52,21 @@ class CirculantSpec:
         return cls(order, tuple(sorted(set(members))))
 
 
-@dataclass(frozen=True)
-class BlockViolation:
-    block_index: int
-    missing: tuple[int, ...]
-    present: tuple[int, ...]
+class BlockViolation(Record):
+    _fields = ("block_index", "missing", "present")
+
+    def __init__(self, block_index: int, missing: tuple[int, ...], present: tuple[int, ...]):
+        d = self.__dict__
+        d["block_index"], d["missing"], d["present"] = block_index, missing, present
 
 
-@dataclass(frozen=True)
-class IntegralityVerdict:
-    integral: bool
-    block_indices: tuple[int, ...] | None = None
-    violation: BlockViolation | None = None
+class IntegralityVerdict(Record):
+    _fields = ("integral", "block_indices", "violation")
+
+    def __init__(self, integral: bool, block_indices: tuple | None = None, violation: BlockViolation | None = None):
+        d = self.__dict__
+        d["integral"], d["block_indices"], d["violation"] = integral, block_indices, violation
+        self.__post_init__()
 
     def __post_init__(self):
         if self.integral != (self.block_indices is not None) or self.integral != (self.violation is None):

@@ -28,7 +28,6 @@ should sort before comparing.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, filterfalse, groupby, repeat
 from operator import itemgetter, lt, mod
@@ -36,25 +35,28 @@ from operator import itemgetter, lt, mod
 from . import limits
 from .errors import DegenerateOrder, OutOfRange
 from .fields import AbelianField, _fixing_mod
+from .records import Record
 from .residues import _euler_phi, _prime_factors, _proper_divisors
 
 
-@dataclass(frozen=True)
-class OrbitBlock:
-    divisor: int
-    members: tuple[int, ...]
+class OrbitBlock(Record):
+    _fields = ("divisor", "members")
+
+    def __init__(self, divisor: int, members: tuple[int, ...]):
+        d = self.__dict__
+        d["divisor"], d["members"] = divisor, members
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """The blocks of (n, K), block after block in ``members``, with one
-    (divisor, block size, block count) triple in ``runs`` per run of like
-    blocks; from_blocks builds one from (divisor, members) pairs."""
+class OrbitPartition(Record):
+    """The blocks of (n, K), one after another in the 'I' array ``members``,
+    and one (divisor, block size, block count) triple in ``runs`` per run
+    of like blocks; from_blocks builds one from (divisor, members) pairs."""
 
-    order: int
-    field: AbelianField
-    members: array  # typecode 'I'
-    runs: tuple[tuple[int, int, int], ...]  # (divisor, block size, block count)
+    _fields = ("order", "field", "members", "runs")
+
+    def __init__(self, order: int, field: AbelianField, members: array, runs: tuple[tuple[int, int, int], ...]):
+        d = self.__dict__
+        d["order"], d["field"], d["members"], d["runs"] = order, field, members, runs
 
     __hash__ = None  # the member array is mutable
 

@@ -6,16 +6,15 @@ Galois-group data used by the orbit construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
 from . import limits
 from .errors import DegenerateOrder, NotAUnit
+from .records import Record
 
 
-@dataclass(frozen=True)
-class UnitSubgroup:
+class UnitSubgroup(Record):
     """A multiplicatively closed set of residues modulo ``modulus``.
 
     Elements are units in [0, modulus), stored strictly increasing, so the
@@ -24,8 +23,12 @@ class UnitSubgroup:
     products is not checked.
     """
 
-    modulus: int
-    elements: tuple[int, ...]
+    _fields = ("modulus", "elements")
+
+    def __init__(self, modulus: int, elements: tuple[int, ...]):
+        d = self.__dict__
+        d["modulus"], d["elements"] = modulus, elements
+        self.__post_init__()
 
     def __post_init__(self):
         g = self.modulus
@@ -48,6 +51,11 @@ class UnitSubgroup:
     @cached_property
     def _member_set(self) -> frozenset[int]:
         return frozenset(self.elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.modulus == other.modulus and self.elements == other.elements
 
     def __hash__(self) -> int:  # a frozenset caches its hash, so cache lookups keyed by a field stay O(1)
         return hash(self._member_set)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 import time
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import limits
@@ -24,17 +23,18 @@ from .fields import AbelianField, galois_subgroup_mod
 from .integrality import CirculantSpec, is_integral
 from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, numeric_lattice_check, oracle_is_integral
 from .orbits import orbit_partition
+from .records import Record
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n: int
-    field: str
-    mode: str
-    cases_checked: int
-    mismatches: tuple
-    seed: int | None
-    elapsed_ms: int
+class VerificationReport(Record):
+    _fields = ("n", "field", "mode", "cases_checked", "mismatches", "seed", "elapsed_ms")
+
+    def __init__(self, n: int, field: str, mode: str, cases_checked: int, mismatches: tuple, seed: int | None,
+                 elapsed_ms: int):
+        d = self.__dict__
+        d["n"], d["field"], d["mode"], d["cases_checked"] = n, field, mode, cases_checked
+        d["mismatches"], d["seed"], d["elapsed_ms"] = mismatches, seed, elapsed_ms
+        self.__post_init__()
 
     def __post_init__(self):
         if self.cases_checked < 1:

@@ -448,3 +448,29 @@ def test_numpy_stays_off_the_start_up_path():
     reports = [json.loads(line) for line in verify.splitlines()]
     assert [r["mode"] for r in reports] == ["exhaustive", "numeric"]
     assert all(r["mismatches"] == [] for r in reports)
+
+
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+import circint
+on_import = [name for name in sys.modules if name.startswith("circint.")]
+from circint.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps({"on_import": on_import, "code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_ARGV, ids=lambda argv: argv[0])
+def test_each_command_loads_only_what_it_calls(argv):
+    # a fresh interpreter per command: the package loads a submodule on first
+    # use of one of its names, and each handler imports only what it calls
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(argv)],
+                         capture_output=True, text=True, timeout=120, check=True)
+    doc = json.loads(run.stdout)
+    assert doc["on_import"] == [] and doc["code"] == 0
+    modules = set(doc["modules"])
+    assert "dataclasses" not in modules
+    assert ("decimal" in modules) == (argv[0] == "enumerate")
+    if argv[0] in ("partition", "check"):
+        assert not modules & {"circint.verify", "circint.oracle", "circint.cyclotomic"}
