@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 
 from . import limits
 from .errors import CircError, InvalidSet, LimitExceeded, TooManyOrbits
@@ -32,6 +33,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+
+SPECTRUM_CHUNK = 64  # rows per write
 
 
 def _dumps(doc) -> str:
@@ -151,14 +154,22 @@ def _cmd_spectrum(args) -> int:
         limits.check_order(n)
         from .cyclotomic import eigenvalue, reduce_coefficients
 
-        rows = [list(reduce_coefficients(eigenvalue(n, spec.connection_set, r))) for r in range(n)]
+        rows = (reduce_coefficients(eigenvalue(n, spec.connection_set, r)) for r in range(n))
         mode = "exact"
     else:
         from .oracle import numeric_spectrum
 
-        rows = [[_sig(z.real), _sig(z.imag)] for z in numeric_spectrum(spec)]
+        rows = ((_sig(z.real), _sig(z.imag)) for z in numeric_spectrum(spec))
         mode = "numeric"
-    print(_dumps({"n": n, "S": list(spec.connection_set), "mode": mode, "spectrum": rows}))
+    # written as the rows are computed, SPECTRUM_CHUNK at a time: --exact prints n * phi(n) integers,
+    # 80 MB of text at n = 10^4, never held whole
+    head = _dumps({"n": n, "S": list(spec.connection_set), "mode": mode, "spectrum": []})
+    sys.stdout.write(head[:-2])
+    sep = ""
+    while chunk := list(islice(rows, SPECTRUM_CHUNK)):
+        sys.stdout.write(sep + _dumps(chunk)[1:-1])
+        sep = ","
+    sys.stdout.write(head[-2:] + "\n")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from operator import lt
 from . import limits
 from .errors import DegenerateOrder, InvalidSet, TooManyOrbits
 from .fields import AbelianField, field_gaussian
-from .orbits import orbit_partition, r_count
+from .orbits import _partition_cached, orbit_partition, r_count
 from .records import Record
 
 
@@ -77,7 +77,14 @@ def is_integral(spec: CirculantSpec, field: AbelianField) -> IntegralityVerdict:
     """Decide integrality over the field: the connection set must be a
     union of whole orbit blocks. The verdict carries either the covered
     block indices or the first partially covered block as witness."""
-    covered, witness = orbit_partition(spec.order, field)._cover(spec.connection_set)
+    limits.check_modulus(spec.order)
+    return _is_integral(spec, field)
+
+
+def _is_integral(spec: CirculantSpec, field: AbelianField) -> IntegralityVerdict:
+    """is_integral without the modulus check, for callers that checked the
+    order once for many sets; a spec's order is at least 2."""
+    covered, witness = _partition_cached(spec.order, field)._cover(spec.connection_set)
     if witness is None:
         return IntegralityVerdict(True, block_indices=covered)
     return IntegralityVerdict(False, violation=BlockViolation(*witness))

@@ -15,7 +15,6 @@ overrule the exact decision.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import itemgetter
 
 from . import limits
@@ -44,9 +43,15 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
     subgroup; else it is compared with its image under each other element,
     until one differs. The orders m are taken increasing, shortest first.
     """
+    limits.check_modulus(spec.order)
+    return _oracle_is_integral(spec, field)
+
+
+def _oracle_is_integral(spec, field: AbelianField) -> bool:
+    """oracle_is_integral without the modulus check, for callers that
+    checked the order once for many sets."""
     n = spec.order
-    limits.check_modulus(n)
-    gathers, leader_of, orbit_size = _divisor_gathers(field, n)
+    gathers, leader_of, orbit_size = _divisor_gathers(n, field)
     members = spec.connection_set
     if sum(map(orbit_size.__getitem__, set(map(leader_of.__getitem__, members)))) == len(members):
         return True
@@ -68,8 +73,8 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)  # bounded; read once per oracle_is_integral call, so per block in lemma1_check
-def _divisor_gathers(field: AbelianField, n: int):
+@limits.Memo  # about 75 bytes per residue, 7.4 MB at (99990, Q); read once per oracle call
+def _divisor_gathers(n: int, field: AbelianField):
     """(gathers, leader_of, orbit_size). gathers holds, for each divisor
     m > 1 of n, increasing, so ending at m = n: m, the elements of the
     field's Galois subgroup H at modulus m, ascending, and spread, a gather

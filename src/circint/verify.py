@@ -20,8 +20,8 @@ from . import limits
 from .cyclotomic import cyc_equal, eigenvalue
 from .errors import DegenerateOrder, InvalidSet, LimitExceeded, UnsupportedLattice
 from .fields import AbelianField, galois_subgroup_mod
-from .integrality import CirculantSpec, is_integral
-from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, numeric_lattice_check, oracle_is_integral
+from .integrality import CirculantSpec, _is_integral
+from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, _oracle_is_integral, numeric_lattice_check
 from .orbits import orbit_partition
 from .records import Record
 
@@ -78,16 +78,18 @@ def _members(mask: int) -> tuple[int, ...]:
 
 def _sweep(n: int, field: AbelianField, samples: int | None, seed: int, mode: str | None,
            decide) -> VerificationReport:
-    """Compare decide(spec) with oracle_is_integral on every subset of the
-    sweep. The report is named ``mode``, or after the sweep itself
-    ("exhaustive" or "sample") when that is None."""
+    """Compare decide(spec) with the exact oracle on every subset of the
+    sweep; the order is checked against the modulus bound once, so decide
+    need not check it. The report is named ``mode``, or after the sweep
+    itself ("exhaustive" or "sample") when that is None."""
     start = time.perf_counter()
     masks, sweep_mode, used_seed = _subset_masks(n, samples, seed)
+    limits.check_modulus(n)
     mismatches = []
     for mask in masks:
         spec = CirculantSpec(n, _members(mask))
         got = decide(spec)
-        expected = oracle_is_integral(spec, field)
+        expected = _oracle_is_integral(spec, field)
         if got != expected:
             mismatches.append({"S": list(spec.connection_set), "expected": expected, "got": got})
     mismatches.sort(key=lambda m: m["S"])
@@ -105,7 +107,7 @@ def cross_verify(n: int, field: AbelianField, *, samples: int | None = None,
     entries record the subset with the oracle verdict as expected value,
     sorted by subset.
     """
-    return _sweep(n, field, samples, seed, None, lambda spec: is_integral(spec, field).integral)
+    return _sweep(n, field, samples, seed, None, lambda spec: _is_integral(spec, field).integral)
 
 
 def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
@@ -150,7 +152,7 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
         if not members:
             mismatches.append({"block": bi, "empty": True})
         with suppress(InvalidSet):  # members unsorted, repeated or out of range: a corrupted partition
-            if oracle_is_integral(CirculantSpec(n, members), field):
+            if _oracle_is_integral(CirculantSpec(n, members), field):  # orbit_partition checked n
                 continue
         limits.check_order(n)  # only a corrupted partition reaches the search
         fixers = fixers or galois_subgroup_mod(field, n).elements  # fetched on the first rejected block

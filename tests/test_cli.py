@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +10,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circint import OrbitPartition, enumerate_integral, is_integral, parse_field, verdict_to_json
+import circint.cli
+from circint import CirculantSpec, OrbitPartition, enumerate_integral, is_integral, parse_field, verdict_to_json
 from circint.cli import main
 
 
@@ -244,6 +246,26 @@ def test_spectrum_exact(capsys):
     rows = doc["spectrum"]
     assert len(rows) == 6 and all(len(row) == 2 for row in rows)
     assert rows[0] == [3, 0]  # frequency 0 carries the set size
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_spectrum_streams_the_whole_document(capsys, monkeypatch, chunk):
+    # rows are written SPECTRUM_CHUNK at a time; the bytes are those of one json.dumps of the document
+    from circint.cli import _sig
+    from circint.cyclotomic import eigenvalue, reduce_coefficients
+    from circint.oracle import numeric_spectrum
+
+    monkeypatch.setattr(circint.cli, "SPECTRUM_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for n in range(2, 61):
+        spec = CirculantSpec.of(n, rng.sample(range(1, n), rng.randint(1, n - 1)))
+        text = ",".join(map(str, spec.connection_set))
+        rows = {"exact": [list(reduce_coefficients(eigenvalue(n, spec.connection_set, r))) for r in range(n)],
+                "numeric": [[_sig(z.real), _sig(z.imag)] for z in numeric_spectrum(spec)]}
+        for mode, spectrum in rows.items():
+            code, out, _ = run_cli(capsys, "spectrum", str(n), "--set", text, f"--{mode}")
+            doc = {"n": n, "S": list(spec.connection_set), "mode": mode, "spectrum": spectrum}
+            assert code == 0 and out == json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def test_verify_exhaustive(capsys):

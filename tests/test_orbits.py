@@ -1,6 +1,9 @@
 import gc
 import json
 import random
+import sys
+import threading
+import time
 import tracemalloc
 from math import gcd
 
@@ -18,6 +21,7 @@ from circint import (
     LimitExceeded,
     OrbitPartition,
     OutOfRange,
+    cyclotomic_polynomial,
     euler_phi,
     field_cyclotomic,
     field_gaussian,
@@ -25,6 +29,7 @@ from circint import (
     field_rationals,
     galois_subgroup_mod,
     is_integral,
+    limits,
     oracle_is_integral,
     orbit_partition,
     parse_field,
@@ -166,12 +171,101 @@ def test_orders_past_the_conductor_lcm(n, spec):
     assert len(orbit_partition(n, field).blocks) == expected
 
 
+PER_ORDER_MEMOS = (circint.orbits._partition_cached, circint.cyclotomic._cyclotomic, circint.cyclotomic._coset_plan,
+                   circint.oracle._divisor_gathers)
+
+
 def test_caches_are_bounded():
-    # a sweep over many orders must not keep every partition and subgroup
-    for cached in (circint.orbits._partition_cached, circint.cyclotomic._cyclotomic, circint.cyclotomic._coset_plan,
-                   circint.oracle._divisor_gathers, circint.fields._reduced):
-        maxsize = cached.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize > 0
+    # a sweep over many orders must not keep every partition and subgroup: the per-order memos are
+    # bounded by the residues they hold as well as by entries, the reduced subgroups by entries
+    for cached in PER_ORDER_MEMOS:
+        info = cached.cache_info()
+        assert (info["max_entries"], info["max_residues"]) == (limits.MEMO_ENTRIES, limits.MEMO_RESIDUES)
+        assert info["entries"] <= info["max_entries"]
+        assert info["residues"] <= info["max_residues"] or info["entries"] == 1
+    maxsize = circint.fields._reduced.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+
+
+def test_memos_hold_at_most_the_residue_bound():
+    # orders near 5 * 10^4 over cyclo:n, whose gathers are cheap (H is trivial at every modulus); 12 of
+    # them pass 2^19 residues, so the oldest are evicted and the newest that fit are kept
+    memos = (circint.orbits._partition_cached, circint.oracle._divisor_gathers)
+    for memo in memos:
+        memo.cache_clear()
+    orders = range(50_000, 50_012)
+    for n in orders:
+        field = field_cyclotomic(n)
+        orbit_partition(n, field)
+        assert oracle_is_integral(CirculantSpec(n, (1,)), field)
+        for memo in memos:
+            info = memo.cache_info()
+            assert info["residues"] <= limits.MEMO_RESIDUES and info["entries"] <= limits.MEMO_ENTRIES
+    kept = []
+    for n in reversed(orders):
+        if sum(kept) + n > limits.MEMO_RESIDUES:
+            break
+        kept.append(n)
+    assert len(kept) < len(orders)
+    for memo in memos:
+        info = memo.cache_info()
+        assert (info["misses"], info["entries"], info["residues"]) == (len(orders), len(kept), sum(kept))
+    # many small orders are held up to the entry bound
+    for n in range(2, limits.MEMO_ENTRIES + 50):
+        orbit_partition(n, field_rationals())
+    info = circint.orbits._partition_cached.cache_info()
+    assert info["entries"] == limits.MEMO_ENTRIES and info["residues"] <= limits.MEMO_RESIDUES
+
+
+def test_an_order_past_the_residue_bound_is_served_from_its_memo(monkeypatch):
+    # the entry just built is never evicted, so a sweep at one order hits even above the bound
+    n = limits.MEMO_RESIDUES + 1
+    monkeypatch.setenv("CIRC_LIMIT_MODULUS", str(n))
+    for build, memo in ((lambda: orbit_partition(n, field_rationals()), circint.orbits._partition_cached),
+                        (lambda: cyclotomic_polynomial(n), circint.cyclotomic._cyclotomic)):
+        value = build()
+        hits = memo.cache_info()["hits"]
+        assert build() is value
+        info = memo.cache_info()
+        assert info["hits"] == hits + 1 and info["entries"] == 1 and info["residues"] == n
+        memo.cache_clear()
+
+
+def test_memo_is_safe_under_threads():
+    # four threads through one memo past the residue bound, switching often: every call returns its
+    # own key's value, every call counts as one hit or one miss, and the residues held are exactly
+    # those of the entries left
+    memo = limits.Memo(lambda n, k: [n, k])
+    orders = [limits.MEMO_RESIDUES // 16 + i for i in range(40)]
+    calls, errors = [0] * 4, []
+    deadline = time.monotonic() + 1.0
+
+    def worker(t):
+        rng = random.Random(t)
+        try:
+            while time.monotonic() < deadline:
+                n, k = rng.choice(orders), rng.randrange(3)
+                if memo(n, k) != [n, k]:
+                    errors.append((n, k))
+                calls[t] += 1
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    info = memo.cache_info()
+    assert info["hits"] + info["misses"] == sum(calls) and info["misses"] > len(orders) * 3
+    assert info["residues"] == sum(n for n, _ in memo._entries) <= limits.MEMO_RESIDUES
+    assert 1 <= info["entries"] <= limits.MEMO_ENTRIES
 
 
 class WalkCountedTuple(tuple):

@@ -230,8 +230,8 @@ def test_lemma1_refuses_to_search_a_rejected_block_above_the_exact_order_bound(m
     n, field = 10007, field_rationals()
     split = OrbitPartition.from_blocks(n, field, [(1, range(1, 5004)), (1, range(5004, n))])
     monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: split)
-    judged, searched, oracle = [], [], circint.verify.oracle_is_integral
-    monkeypatch.setattr(circint.verify, "oracle_is_integral", lambda spec, k: judged.append(spec) or oracle(spec, k))
+    judged, searched, oracle = [], [], circint.verify._oracle_is_integral
+    monkeypatch.setattr(circint.verify, "_oracle_is_integral", lambda spec, k: judged.append(spec) or oracle(spec, k))
     monkeypatch.setattr(circint.verify, "eigenvalue", lambda *args: searched.append(args))
     with pytest.raises(LimitExceeded, match="exact-order limit"):
         lemma1_check(n, field)
