@@ -15,10 +15,10 @@ overrule the exact decision.
 from __future__ import annotations
 
 import math
+from array import array
 from operator import itemgetter
 
-from . import limits
-from .cyclotomic import CyclotomicInteger, cyc_equal
+from . import cyclotomic, limits
 from .errors import UnsupportedLattice
 from .fields import AbelianField, _galois_subgroup
 from .residues import _proper_divisors
@@ -40,63 +40,83 @@ def oracle_is_integral(spec, field: AbelianField) -> bool:
     The eigenvalue at d has order m = n/d, its coefficients the counts of
     S mod m, and H acts on it as the Galois subgroup at modulus m. It is
     fixed outright when the counts are constant on the orbits of that
-    subgroup; else it is compared with its image under each other element,
-    until one differs. The orders m are taken increasing, shortest first.
+    subgroup, always so when the subgroup is trivial; else it is compared
+    with its image under each other element, until one differs. The orders
+    m are taken increasing, shortest first; at m = n the counts are the
+    indicator of S, which the failed outright test showed is not constant
+    on the H-orbits, so only the images are compared there.
     """
-    limits.check_modulus(spec.order)
-    return _oracle_is_integral(spec, field)
-
-
-def _oracle_is_integral(spec, field: AbelianField) -> bool:
-    """oracle_is_integral without the modulus check, for callers that
-    checked the order once for many sets."""
     n = spec.order
-    gathers, leader_of, orbit_size = _divisor_gathers(n, field)
-    members = spec.connection_set
+    limits.check_modulus(n)
+    return _decide(_divisor_gathers(n, field), n, spec.connection_set)
+
+
+def _decide(tables, n: int, members) -> bool:
+    """oracle_is_integral on the connection set ``members`` of order n,
+    given tables = _divisor_gathers(n, field): for callers that checked
+    the order and fetched the tables once for many sets."""
+    gathers, fixers, leader_of, orbit_size = tables
     if sum(map(orbit_size.__getitem__, set(map(leader_of.__getitem__, members)))) == len(members):
         return True
-    indicator = bytearray(n)
-    for s in members:
-        indicator[s] = 1
-    whole = tuple(indicator)
-    for m, fixers, spread in gathers:
-        counts = whole if m == n else tuple([sum(indicator[k::m]) for k in range(m)])
-        if spread(counts) == counts:
-            continue
-        lam = CyclotomicInteger(m, counts)
-        for h in fixers[1:]:
-            # zeta_m -> zeta_m^h moves coefficient k to position h*k mod m
-            inverse = pow(h, -1, m)
-            image = tuple(counts[j * inverse % m] for j in range(m))
-            if not cyc_equal(CyclotomicInteger(m, image), lam):
-                return False
-    return True
+    for m, elements, spread in gathers:
+        counts = [0] * m
+        for s in members:
+            counts[s % m] += 1
+        counts = tuple(counts)
+        if spread(counts) != counts and _moved(m, elements, [(k, c) for k, c in enumerate(counts) if c]):
+            return False
+    return not _moved(n, fixers, [(s, 1) for s in members])
 
 
-@limits.Memo  # about 75 bytes per residue, 7.4 MB at (99990, Q); read once per oracle call
+def _moved(m: int, elements, terms) -> bool:
+    """True iff some element h of H at modulus m moves the value of order m
+    that is the sum of c * zeta_m^k over the (k, c) in terms. zeta_m ->
+    zeta_m^h moves the coefficient at k to h*k mod m; an image that equals
+    the value as a vector needs no zero test."""
+    for h in elements[1:]:
+        diff = [0] * m
+        for k, c in terms:
+            diff[h * k % m] += c
+            diff[k] -= c
+        if any(diff) and not cyclotomic._is_zero(m, diff):
+            return True
+    return False
+
+
+@limits.Memo  # about 35 bytes per residue, 3.5 MB at (99990, Q); read once per sweep or oracle call
 def _divisor_gathers(n: int, field: AbelianField):
-    """(gathers, leader_of, orbit_size). gathers holds, for each divisor
-    m > 1 of n, increasing, so ending at m = n: m, the elements of the
-    field's Galois subgroup H at modulus m, ascending, and spread, a gather
-    with spread(v) == v exactly when the length-m vector v is constant on
-    the H-orbits of {0, ..., m-1}, that is, when no element of H moves the
-    value of order m that v denotes. leader_of[r] is the least member of
-    the H-orbit of r at modulus n, and orbit_size[l] the size of the orbit
-    led by l (0 where l leads none)."""
+    """(gathers, fixers, leader_of, orbit_size). gathers holds, for each
+    divisor 1 < m < n of n at which the field's Galois subgroup H is not
+    trivial, increasing: m, the elements of H at modulus m, ascending, and
+    spread, a gather with spread(v) == v exactly when the length-m vector v
+    is constant on the H-orbits of {0, ..., m-1}, that is, when no element
+    of H moves the value of order m that v denotes. fixers lists H at
+    modulus n, ascending; leader_of[r] is the least member of the H-orbit
+    of r at modulus n, and orbit_size[l] the size of the orbit led by l
+    (0 where l leads none)."""
     gathers = []
-    for d in reversed(_proper_divisors(n)):
+    for d in reversed(_proper_divisors(n)[1:]):
         m = n // d
         elements = _galois_subgroup(field, m).elements
-        leader_of = [None] * m
-        for r in range(m):
-            if leader_of[r] is None:
-                for h in elements:
-                    leader_of[h * r % m] = r
-        gathers.append((m, elements, itemgetter(*leader_of)))
+        if len(elements) > 1:  # the trivial group fixes every value
+            gathers.append((m, array("I", elements), itemgetter(*_leaders(m, elements))))
+    fixers = _galois_subgroup(field, n).elements
+    leader_of = _leaders(n, fixers)
     orbit_size = [0] * n
     for r in leader_of:
         orbit_size[r] += 1
-    return tuple(gathers), leader_of, orbit_size
+    return tuple(gathers), array("I", fixers), leader_of, orbit_size
+
+
+def _leaders(m: int, elements) -> list[int]:
+    """leader_of[r], the least member of the orbit of r in {0, ..., m-1}
+    under the units ``elements`` mod m."""
+    leader_of = [None] * m
+    for r in range(m):
+        if leader_of[r] is None:
+            for h in elements:
+                leader_of[h * r % m] = r
+    return leader_of
 
 
 def numeric_spectrum(spec) -> list[complex]:

@@ -20,8 +20,8 @@ from . import limits
 from .cyclotomic import cyc_equal, eigenvalue
 from .errors import DegenerateOrder, InvalidSet, LimitExceeded, UnsupportedLattice
 from .fields import AbelianField, galois_subgroup_mod
-from .integrality import CirculantSpec, _is_integral
-from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, _oracle_is_integral, numeric_lattice_check
+from .integrality import CirculantSpec, _verdict
+from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, _decide, _divisor_gathers, numeric_lattice_check
 from .orbits import orbit_partition
 from .records import Record
 
@@ -71,25 +71,35 @@ def _subset_masks(n: int, samples: int | None, seed: int):
     return [rng.getrandbits(n - 1) for _ in range(samples)], "sample", seed
 
 
+# the members a byte of a mask covers, as bits 0-7 and as bits 8-15
+_LOW_BYTE = tuple(tuple(i + 1 for i in range(8) if b >> i & 1) for b in range(256))
+_HIGH_BYTE = tuple(tuple(s + 8 for s in low) for low in _LOW_BYTE)
+
+
 def _members(mask: int) -> tuple[int, ...]:
-    """Bit i covers residue i + 1; one pass over bin(mask), not a shift per bit."""
+    """Bit i covers residue i + 1: a mask below 2^16 is two table reads,
+    a larger one a pass over bin(mask), not a shift per bit."""
+    if mask < 0x10000:
+        return _LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[mask >> 8]
     return tuple(i for i, b in enumerate(reversed(bin(mask)), 1) if b == "1")
 
 
 def _sweep(n: int, field: AbelianField, samples: int | None, seed: int, mode: str | None,
-           decide) -> VerificationReport:
+           decider) -> VerificationReport:
     """Compare decide(spec) with the exact oracle on every subset of the
-    sweep; the order is checked against the modulus bound once, so decide
-    need not check it. The report is named ``mode``, or after the sweep
-    itself ("exhaustive" or "sample") when that is None."""
+    sweep, decide = decider() taken once the order has been checked against
+    the modulus bound, so neither side checks it or looks up its tables
+    again per set. The report is named ``mode``, or after the sweep itself
+    ("exhaustive" or "sample") when that is None."""
     start = time.perf_counter()
     masks, sweep_mode, used_seed = _subset_masks(n, samples, seed)
     limits.check_modulus(n)
+    decide, tables = decider(), _divisor_gathers(n, field)
     mismatches = []
     for mask in masks:
         spec = CirculantSpec(n, _members(mask))
         got = decide(spec)
-        expected = _oracle_is_integral(spec, field)
+        expected = _decide(tables, n, spec.connection_set)
         if got != expected:
             mismatches.append({"S": list(spec.connection_set), "expected": expected, "got": got})
     mismatches.sort(key=lambda m: m["S"])
@@ -107,7 +117,11 @@ def cross_verify(n: int, field: AbelianField, *, samples: int | None = None,
     entries record the subset with the oracle verdict as expected value,
     sorted by subset.
     """
-    return _sweep(n, field, samples, seed, None, lambda spec: _is_integral(spec, field).integral)
+    def decider():
+        part = orbit_partition(n, field)
+        return lambda spec: _verdict(part, spec.connection_set).integral
+
+    return _sweep(n, field, samples, seed, None, decider)
 
 
 def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
@@ -125,7 +139,7 @@ def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
         lattice = GAUSSIAN_LATTICE
     else:
         raise UnsupportedLattice(f"numeric check supports Q and Qi only, not {field.describe()}")
-    return _sweep(n, field, samples, seed, "numeric", lambda spec: numeric_lattice_check(spec, lattice, tol))
+    return _sweep(n, field, samples, seed, "numeric", lambda: lambda spec: numeric_lattice_check(spec, lattice, tol))
 
 
 def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
@@ -133,18 +147,19 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
 
     One case per (block, frequency) pair verifies that the block's power
     sum P_B(s) lies in the target field. P_B(s) is the eigenvalue of
-    D(n, B) at frequency s, so one oracle_is_integral call decides every s
-    of a block. A block it rejects, or whose members are not a valid
-    connection set, is searched: the image of P_B(s) under zeta -> zeta^a
-    is P_B(a*s), so each a in the Galois subgroup at modulus n is checked
-    by comparing those two, and the first a that moves it is recorded. The
-    search is O(n^2 |H|), so above the exact-order bound it raises
-    LimitExceeded instead.
+    D(n, B) at frequency s, so one oracle decision, on tables fetched once
+    per report, decides every s of a block. A block it rejects, or whose
+    members are not a valid connection set, is searched: the image of
+    P_B(s) under zeta -> zeta^a is P_B(a*s), so each a in the Galois
+    subgroup at modulus n is checked by comparing those two, and the first
+    a that moves it is recorded. The search is O(n^2 |H|), so above the
+    exact-order bound it raises LimitExceeded instead.
     One case per block pair verifies disjoint supports; the pairs are
     intersected only when some residue repeats. Empty blocks are rejected.
     """
     start = time.perf_counter()
     part = orbit_partition(n, field)
+    tables = _divisor_gathers(n, field)
     mismatches, flat, fixers = [], [], None
     for bi, (_, block) in enumerate(part.slices()):
         members = tuple(block)
@@ -152,7 +167,7 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
         if not members:
             mismatches.append({"block": bi, "empty": True})
         with suppress(InvalidSet):  # members unsorted, repeated or out of range: a corrupted partition
-            if _oracle_is_integral(CirculantSpec(n, members), field):  # orbit_partition checked n
+            if _decide(tables, n, CirculantSpec(n, members).connection_set):  # orbit_partition checked n
                 continue
         limits.check_order(n)  # only a corrupted partition reaches the search
         fixers = fixers or galois_subgroup_mod(field, n).elements  # fetched on the first rejected block

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import circint.cli
-from circint import CirculantSpec, OrbitPartition, enumerate_integral, is_integral, parse_field, verdict_to_json
+from circint import (CirculantSpec, IntegralityVerdict, OrbitPartition, enumerate_integral, is_integral, parse_field,
+                     verdict_to_json)
 from circint.cli import main
 
 
@@ -156,6 +158,54 @@ def test_enumerate_matches_per_set_decision(capsys, n, spec, limit):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.splitlines()[:-1] == expected
+
+
+ENUM_FIELDS = ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7", "cyclo:3"]
+
+
+@pytest.mark.parametrize("spec", ENUM_FIELDS)
+def test_enumerate_lines_are_the_integral_verdicts(capsys, spec):
+    # each line is written from text tables of the reachable residues; it
+    # must be byte for byte the JSON of the set's integral verdict
+    field = parse_field(spec)
+    for n in (7, 60, 144, 240):
+        for limit in (None, 0, 1, 64, 65) if n == 7 else (0, 1, 64, 65, 256, 257):
+            expected = []
+            for mask, s in enumerate(enumerate_integral(n, field, limit=limit)):
+                covered = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+                verdict = IntegralityVerdict(True, block_indices=covered)
+                expected.append(circint.cli._dumps(verdict_to_json(s, field, verdict)))
+            argv = ["enumerate", str(n), "--field", spec] + ([] if limit is None else ["--limit", str(limit)])
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out.splitlines()[:-1] == expected, (n, limit)
+
+
+def test_enumerate_builds_no_table_of_the_order(capsys):
+    # over cyclo:99991 every residue is its own block: the first five sets
+    # reach three blocks, so the text table holds three residues, not n
+    class Sink:  # keeps the head of each write, so the output takes no memory to speak of
+        def __init__(self):
+            self.heads = []
+
+        def write(self, text):
+            self.heads.append(text[:40])
+
+        def flush(self):
+            pass
+
+    argv = ["enumerate", "99991", "--field", "cyclo:99991", "--limit", "5"]
+    assert main(argv) == 0  # builds and caches the partition
+    capsys.readouterr()
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.heads[0].startswith('{"n":99991,"S":[],')
+    assert peak < 4 * 99991  # a list of n pointers alone takes 8 bytes a residue
 
 
 def test_enumerate_prints_totals_past_the_int_digit_limit(capsys):

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import functools
 import math
 import random
 import subprocess
@@ -16,6 +17,7 @@ from circint import (
     GAUSSIAN_LATTICE,
     RATIONAL_LATTICE,
     CirculantSpec,
+    CyclotomicInteger,
     UnsupportedLattice,
     cyc_equal,
     eigenvalue,
@@ -225,6 +227,108 @@ def test_oracle_reduces_at_most_once_per_eigenvalue(monkeypatch):
     counter = ZeroTestCounter(monkeypatch)
     assert not oracle_is_integral(CirculantSpec.of(64, [1]), field_rationals())
     assert counter.calls == 1
+
+
+@functools.lru_cache(maxsize=8)
+def indicator_gathers(n, field):
+    """The gathers of indicator_walk: for every divisor m > 1 of n, m, H at
+    modulus m and the gather onto orbit leaders; with the leader table and
+    orbit sizes at m = n."""
+    walk = []
+    for m in sorted(m for m in range(2, n + 1) if n % m == 0):
+        elements = galois_subgroup_mod(field, m).elements
+        leader_of = [None] * m
+        for r in range(m):
+            if leader_of[r] is None:
+                for h in elements:
+                    leader_of[h * r % m] = r
+        walk.append((m, elements, itemgetter(*leader_of)))
+    orbit_size = [0] * n
+    for r in leader_of:
+        orbit_size[r] += 1
+    return walk, leader_of, orbit_size
+
+
+def indicator_walk(spec, field):
+    """Reference: the oracle as it was when it built the length-n indicator
+    of S and ran the gather at every divisor m of n, m = n and the moduli
+    where H is trivial included, comparing each moved value with its images
+    as CyclotomicInteger records."""
+    n = spec.order
+    walk, leader_of, orbit_size = indicator_gathers(n, field)
+    members = spec.connection_set
+    if sum(map(orbit_size.__getitem__, set(map(leader_of.__getitem__, members)))) == len(members):
+        return True
+    indicator = bytearray(n)
+    for s in members:
+        indicator[s] = 1
+    whole = tuple(indicator)
+    for m, fixers, spread in walk:
+        counts = whole if m == n else tuple([sum(indicator[k::m]) for k in range(m)])
+        if spread(counts) == counts:
+            continue
+        lam = CyclotomicInteger(m, counts)
+        for h in fixers[1:]:
+            inverse = pow(h, -1, m)
+            image = tuple(counts[j * inverse % m] for j in range(m))
+            if not cyc_equal(CyclotomicInteger(m, image), lam):
+                return False
+    return True
+
+
+def agree_with_indicator_walk(counter, spec, field):
+    """The oracle and indicator_walk give one verdict after as many zero
+    tests, counted by counter; returns the verdict."""
+    before = counter.calls
+    expected = indicator_walk(spec, field)
+    tests = counter.calls - before
+    assert oracle_is_integral(spec, field) == expected, (spec, field.describe())
+    assert counter.calls - before == 2 * tests, (spec, field.describe())
+    return expected
+
+
+def test_divisor_walk_matches_the_indicator_walk(monkeypatch):
+    # the walk skips the moduli where H is trivial, counts S mod m from S,
+    # compares images only at m = n and tests their differences for zero;
+    # the walk it replaced built the indicator and gathered it at every m
+    counter = ZeroTestCounter(monkeypatch)
+    rng = random.Random(2024)
+    verdicts = []
+    for spec_text in ORACLE_FIELDS:
+        field = parse_field(spec_text)
+        for n in range(2, 70):
+            for kind in seeded_sets(n, field, rng):
+                for members in kind:
+                    verdicts.append(agree_with_indicator_walk(counter, CirculantSpec.of(n, members), field))
+    assert len(verdicts) > sum(verdicts) > len(verdicts) // 4
+    # fields whose H is trivial at some divisor m of n but not at n
+    for spec_text, orders in (("cyclo:12", (24, 36, 48, 60)), ("Qi", (8, 12, 20, 40)),
+                              ("custom:21:4,5", (42, 84, 126))):
+        field = parse_field(spec_text)
+        for n in orders:
+            assert len(galois_subgroup_mod(field, n).elements) > 1
+            assert any(len(galois_subgroup_mod(field, m).elements) == 1 for m in range(2, n) if n % m == 0)
+            for kind in seeded_sets(n, field, rng, per_kind=4):
+                for members in kind:
+                    agree_with_indicator_walk(counter, CirculantSpec.of(n, members), field)
+    assert galois_subgroup_mod(field_gaussian(), 4).elements == (1,)
+    for spec_text in ORACLE_FIELDS:
+        for n in (63, 77, 91):
+            assert not agree_with_indicator_walk(counter, CirculantSpec.of(n, range(1, n, 7)),
+                                                 parse_field(spec_text))
+
+
+@pytest.mark.parametrize("n, spec_text", [(10010, "Q"), (12000, "Qi"), (30030, "sqrt:-7"), (65536, "cyclo:8")])
+def test_divisor_walk_matches_the_indicator_walk_at_large_orders(monkeypatch, n, spec_text):
+    field = parse_field(spec_text)
+    counter = ZeroTestCounter(monkeypatch)
+    rng = random.Random(n)
+    blocks = [ms for _, ms in orbit_partition(n, field).slices()]
+    union = sorted(x for ms in blocks if rng.random() < 0.5 for x in ms)
+    sets = [union, sorted(set(union) ^ {rng.randrange(1, n)}), [x for x in range(1, n) if rng.random() < 0.5],
+            [1, 5, 7], range(1, n, 7)]
+    verdicts = [agree_with_indicator_walk(counter, CirculantSpec.of(n, members), field) for members in sets]
+    assert verdicts[0] and not verdicts[1]
 
 
 def test_oracle_path_has_no_block_machinery():

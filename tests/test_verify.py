@@ -202,10 +202,14 @@ def test_members_decode_masks_like_a_shift_per_bit():
     for n in range(2, 13):
         for mask in range(1 << (n - 1)):
             assert circint.verify._members(mask) == shifted(mask, n)
+    # masks below 2^16 are decoded from byte tables, larger ones from bin()
+    for mask in range((1 << 16) + 64):
+        assert circint.verify._members(mask) == shifted(mask, 18)
     rng = random.Random(5000)
-    for _ in range(20):
-        mask = rng.getrandbits(4999)
-        assert circint.verify._members(mask) == shifted(mask, 5000)
+    for n, count in ((5000, 20), (98280, 3)):
+        for _ in range(count):
+            mask = rng.getrandbits(n - 1)
+            assert circint.verify._members(mask) == shifted(mask, n)
 
 
 @pytest.mark.parametrize("n, spec", [(10007, "Q"), (12000, "Qi")])
@@ -230,12 +234,12 @@ def test_lemma1_refuses_to_search_a_rejected_block_above_the_exact_order_bound(m
     n, field = 10007, field_rationals()
     split = OrbitPartition.from_blocks(n, field, [(1, range(1, 5004)), (1, range(5004, n))])
     monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: split)
-    judged, searched, oracle = [], [], circint.verify._oracle_is_integral
-    monkeypatch.setattr(circint.verify, "_oracle_is_integral", lambda spec, k: judged.append(spec) or oracle(spec, k))
+    judged, searched, oracle = [], [], circint.verify._decide
+    monkeypatch.setattr(circint.verify, "_decide", lambda tables, n, s: judged.append(s) or oracle(tables, n, s))
     monkeypatch.setattr(circint.verify, "eigenvalue", lambda *args: searched.append(args))
     with pytest.raises(LimitExceeded, match="exact-order limit"):
         lemma1_check(n, field)
-    assert [spec.connection_set for spec in judged] == [tuple(range(1, 5004))] and searched == []
+    assert judged == [tuple(range(1, 5004))] and searched == []
 
 
 def test_report_json_shape():
