@@ -13,11 +13,11 @@ distinction matters.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 from math import gcd, prod
 
 from . import limits
-from .errors import BothZero, DegenerateInput, DegenerateOrder, FieldSpecError, NotSquarefree
+from .errors import BothZero, DegenerateInput, DegenerateOrder, FieldSpecError, LimitExceeded, NotSquarefree
 from .records import Record
 from .residues import UnitSubgroup, _euler_phi, _prime_factors, euler_phi, subgroup_closure
 
@@ -43,6 +43,10 @@ class AbelianField(Record):
 
     def __hash__(self) -> int:
         return hash((self.conductor, self.fixing_subgroup))
+
+    @cached_property  # the fixing subgroup mod d, by d: filled by _fixing_mod, and freed with the field
+    def _reductions(self) -> dict[int, frozenset[int]]:
+        return {}
 
     @property
     def degree(self) -> int:
@@ -149,14 +153,11 @@ def _galois_subgroup(field: AbelianField, g: int) -> UnitSubgroup:
 
 
 def _fixing_mod(field: AbelianField, g: int) -> tuple[int, frozenset[int]]:
-    """d = gcd(conductor, g) and the fixing subgroup mod d; see galois_subgroup_mod."""
-    d = gcd(field.conductor, g)
-    return d, _reduced(field, d)
-
-
-@lru_cache(maxsize=256)  # bounded: H is listed once per (field, d) while its entry is cached
-def _reduced(field: AbelianField, d: int) -> frozenset[int]:
-    return frozenset(x % d for x in field.fixing_subgroup.elements)
+    """d = gcd(conductor, g) and the fixing subgroup mod d, listed once per (field, d); see galois_subgroup_mod."""
+    d, reductions = gcd(field.conductor, g), field._reductions
+    if d not in reductions:
+        reductions[d] = frozenset(x % d for x in field.fixing_subgroup.elements)
+    return d, reductions[d]
 
 
 def parse_field(text: str) -> AbelianField:
@@ -169,27 +170,30 @@ def parse_field(text: str) -> AbelianField:
     representation can express.
     """
     t = text.strip()
-    if t == "Q":
-        return field_rationals()
-    if t == "Qi":
-        return field_gaussian()
-    if t.startswith("sqrt:"):
-        return field_quadratic(_spec_int(t[5:], t))
-    if t.startswith("cyclo:"):
-        m = _spec_int(t[6:], t)
-        if m < 1:
-            raise FieldSpecError(f"cyclotomic order must be positive in {text!r}")
-        return field_cyclotomic(m)
-    if t.startswith("custom:"):
-        parts = t.split(":")
-        if len(parts) != 3:
-            raise FieldSpecError(f"expected custom:<m>:<g1,g2,...>, got {text!r}")
-        m = _spec_int(parts[1], t)
-        if m < 1:
-            raise FieldSpecError(f"modulus must be positive in {text!r}")
-        gens = [_spec_int(x, t) for x in parts[2].split(",") if x.strip() != ""]
-        subgroup = subgroup_closure(m, gens)
-        return AbelianField(m, subgroup, label=t)
+    try:
+        if t == "Q":
+            return field_rationals()
+        if t == "Qi":
+            return field_gaussian()
+        if t.startswith("sqrt:"):
+            return field_quadratic(_spec_int(t[5:], t))
+        if t.startswith("cyclo:"):
+            m = _spec_int(t[6:], t)
+            if m < 1:
+                raise FieldSpecError(f"cyclotomic order must be positive in {text!r}")
+            return field_cyclotomic(m)
+        if t.startswith("custom:"):
+            parts = t.split(":")
+            if len(parts) != 3:
+                raise FieldSpecError(f"expected custom:<m>:<g1,g2,...>, got {text!r}")
+            m = _spec_int(parts[1], t)
+            if m < 1:
+                raise FieldSpecError(f"modulus must be positive in {text!r}")
+            gens = [_spec_int(x, t) for x in parts[2].split(",") if x.strip() != ""]
+            subgroup = subgroup_closure(m, gens)
+            return AbelianField(m, subgroup, label=t)
+    except LimitExceeded as exc:  # name the spec whose conductor is over the bound
+        raise LimitExceeded(f"{exc} (conductor of {t})") from None
     raise FieldSpecError(f"unrecognized field spec {text!r}")
 
 

@@ -83,7 +83,7 @@ def _moved(m: int, elements, terms) -> bool:
     return False
 
 
-@limits.Memo  # about 35 bytes per residue, 3.5 MB at (99990, Q); read once per sweep or oracle call
+@limits.Memo  # about 35 bytes per residue, 3.5 MB at (99990, Q); keeps its field alive until evicted
 def _divisor_gathers(n: int, field: AbelianField):
     """(gathers, fixers, leader_of, orbit_size). gathers holds, for each
     divisor 1 < m < n of n at which the field's Galois subgroup H is not
@@ -93,30 +93,24 @@ def _divisor_gathers(n: int, field: AbelianField):
     of H moves the value of order m that v denotes. fixers lists H at
     modulus n, ascending; leader_of[r] is the least member of the H-orbit
     of r at modulus n, and orbit_size[l] the size of the orbit led by l
-    (0 where l leads none)."""
-    gathers = []
-    for d in reversed(_proper_divisors(n)[1:]):
-        m = n // d
-        elements = _galois_subgroup(field, m).elements
-        if len(elements) > 1:  # the trivial group fixes every value
-            gathers.append((m, array("I", elements), itemgetter(*_leaders(m, elements))))
+    (0 where l leads none). H is listed and walked once, at n: H at m = n/d
+    is H at n mod m and h*d*x = d*(h*x mod m) mod n, so the orbit of x at m
+    is that of d*x at n over d, and H at m is the orbit of 1."""
     fixers = _galois_subgroup(field, n).elements
-    leader_of = _leaders(n, fixers)
+    leader_of = [None] * n
+    for r in range(n):
+        if leader_of[r] is None:
+            for h in fixers:
+                leader_of[h * r % n] = r
     orbit_size = [0] * n
     for r in leader_of:
         orbit_size[r] += 1
+    gathers = []
+    for d in reversed(_proper_divisors(n)[1:]):
+        leaders = [r // d for r in leader_of[::d]]
+        if leaders.count(1) > 1:  # the trivial group fixes every value
+            gathers.append((n // d, array("I", [x for x, r in enumerate(leaders) if r == 1]), itemgetter(*leaders)))
     return tuple(gathers), array("I", fixers), leader_of, orbit_size
-
-
-def _leaders(m: int, elements) -> list[int]:
-    """leader_of[r], the least member of the orbit of r in {0, ..., m-1}
-    under the units ``elements`` mod m."""
-    leader_of = [None] * m
-    for r in range(m):
-        if leader_of[r] is None:
-            for h in elements:
-                leader_of[h * r % m] = r
-    return leader_of
 
 
 def numeric_spectrum(spec) -> list[complex]:

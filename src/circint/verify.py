@@ -92,8 +92,8 @@ def _sweep(n: int, field: AbelianField, samples: int | None, seed: int, mode: st
     again per set. The report is named ``mode``, or after the sweep itself
     ("exhaustive" or "sample") when that is None."""
     start = time.perf_counter()
+    limits.check_modulus(n)  # before n - 1 random bits are drawn per sample
     masks, sweep_mode, used_seed = _subset_masks(n, samples, seed)
-    limits.check_modulus(n)
     decide, tables = decider(), _divisor_gathers(n, field)
     mismatches = []
     for mask in masks:
@@ -151,16 +151,16 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     per report, decides every s of a block. A block it rejects, or whose
     members are not a valid connection set, is searched: the image of
     P_B(s) under zeta -> zeta^a is P_B(a*s), so each a in the Galois
-    subgroup at modulus n is checked by comparing those two, and the first
-    a that moves it is recorded. The search is O(n^2 |H|), so above the
-    exact-order bound it raises LimitExceeded instead.
+    subgroup at modulus n, read from those tables, is checked by comparing
+    the two, and the first a that moves it is recorded. The search is
+    O(n^2 |H|), so above the exact-order bound it raises LimitExceeded.
     One case per block pair verifies disjoint supports; the pairs are
     intersected only when some residue repeats. Empty blocks are rejected.
     """
     start = time.perf_counter()
     part = orbit_partition(n, field)
     tables = _divisor_gathers(n, field)
-    mismatches, flat, fixers = [], [], None
+    fixers, mismatches, flat = tables[1], [], []
     for bi, (_, block) in enumerate(part.slices()):
         members = tuple(block)
         flat.extend(members)
@@ -170,7 +170,6 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
             if _decide(tables, n, CirculantSpec(n, members).connection_set):  # orbit_partition checked n
                 continue
         limits.check_order(n)  # only a corrupted partition reaches the search
-        fixers = fixers or galois_subgroup_mod(field, n).elements  # fetched on the first rejected block
         for s in range(1, n):
             value = eigenvalue(n, members, s)
             for a in fixers[1:]:

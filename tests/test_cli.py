@@ -250,6 +250,27 @@ def test_enumeration_budget_names_the_flag_and_the_variable(capsys, monkeypatch)
     assert code == 3 and out == "" and "--limit" in err and "CIRC_LIMIT_ENUM" in err
 
 
+@pytest.mark.parametrize("spec, modulus", [("sqrt:-99998", 399992), ("cyclo:100001", 100001),
+                                           ("custom:100003:2", 100003)])
+def test_limit_errors_name_the_field_spec(capsys, spec, modulus):
+    code, out, err = run_cli(capsys, "partition", "12", "--field", spec)
+    assert code == 3 and out == ""
+    assert f"modulus {modulus} exceeds limit 100000" in err and "CIRC_LIMIT_MODULUS" in err
+    assert err.rstrip().endswith(f"(conductor of {spec})")
+
+
+def test_verify_checks_the_modulus_before_drawing_samples(capsys, monkeypatch):
+    # a thousand masks of n - 1 bits at n = 4 * 10^7 would take about 5 GB: the order is refused first
+    drawn = []
+    monkeypatch.setattr(random.Random, "getrandbits", lambda self, k: drawn.append(k) or 0)
+    code, out, err = run_cli(capsys, "verify", "40000000", "--field", "Q", "--samples", "1000")
+    assert code == 3 and out == "" and "modulus 40000000 exceeds limit" in err and drawn == []
+    code, out, err = run_cli(capsys, "verify", "40000000", "--field", "Q", "--exhaustive")
+    assert code == 3 and out == ""
+    code, out, err = run_cli(capsys, "verify", "15", "--field", "Q", "--exhaustive")
+    assert code == 3 and out == "" and "exhaustive" in err
+
+
 def test_exact_order_limit_says_what_it_bounds(capsys, monkeypatch):
     monkeypatch.setenv("CIRC_LIMIT_MODULUS", "200000")  # the variable that raises the modulus bound does not help
     code, out, err = run_cli(capsys, "spectrum", "10001", "--set", "1", "--exact")

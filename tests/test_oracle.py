@@ -331,6 +331,47 @@ def test_divisor_walk_matches_the_indicator_walk_at_large_orders(monkeypatch, n,
     assert verdicts[0] and not verdicts[1]
 
 
+# the fields of test_orbits.KEYED_BUILD_FIELDS
+KEYED_BUILD_FIELDS = ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7", "sqrt:-5", "cyclo:3", "cyclo:5",
+                      "cyclo:8", "cyclo:12", "custom:13:5", "custom:16:7", "custom:21:4"]
+
+
+def count_listings(monkeypatch):
+    """The moduli at which the oracle lists a Galois subgroup, in order."""
+    listings, galois_subgroup = [], circint.oracle._galois_subgroup
+    monkeypatch.setattr(circint.oracle, "_galois_subgroup", lambda k, g: listings.append(g) or galois_subgroup(k, g))
+    return listings
+
+
+def assert_tables_match_indicator_gathers(listings, n, field):
+    """One build of the oracle's tables lists H once, at n, and holds what
+    indicator_gathers lists at every divisor: H and the gather at each m < n
+    where H is not trivial, and H, the leaders and orbit sizes at n."""
+    listings.clear()
+    gathers, fixers, leader_of, orbit_size = circint.oracle._divisor_gathers.__wrapped__(n, field)
+    assert listings == [n]
+    walk, expected_leaders, expected_sizes = indicator_gathers(n, field)
+    expected = [(m, tuple(elements), spread(range(m))) for m, elements, spread in walk
+                if m < n and len(elements) > 1]
+    assert [(m, tuple(elements), spread(range(m))) for m, elements, spread in gathers] == expected, (n, field)
+    assert all(elements.typecode == "I" for _, elements, _ in gathers) and fixers.typecode == "I"
+    assert tuple(fixers) == walk[-1][1] == galois_subgroup_mod(field, n).elements
+    assert leader_of == expected_leaders and orbit_size == expected_sizes, (n, field)
+
+
+@pytest.mark.parametrize("spec_text", KEYED_BUILD_FIELDS)
+def test_divisor_tables_are_stride_views_of_the_table_at_n(monkeypatch, spec_text):
+    # H at m = n/d is H at n mod m, and the H-orbit of x at m is that of d*x at n over d
+    field, listings = parse_field(spec_text), count_listings(monkeypatch)
+    for n in range(2, 301):
+        assert_tables_match_indicator_gathers(listings, n, field)
+
+
+@pytest.mark.parametrize("n, spec_text", [(99990, "Q"), (98280, "Qi"), (60060, "sqrt:-7"), (99991, "cyclo:99991")])
+def test_divisor_tables_are_stride_views_at_large_orders(monkeypatch, n, spec_text):
+    assert_tables_match_indicator_gathers(count_listings(monkeypatch), n, parse_field(spec_text))
+
+
 def test_oracle_path_has_no_block_machinery():
     # independence of the two decision routes hinges on this module never
     # touching the orbit construction or the block decision, at any depth:

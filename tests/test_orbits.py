@@ -177,14 +177,17 @@ PER_ORDER_MEMOS = (circint.orbits._partition_cached, circint.cyclotomic._cycloto
 
 def test_caches_are_bounded():
     # a sweep over many orders must not keep every partition and subgroup: the per-order memos are
-    # bounded by the residues they hold as well as by entries, the reduced subgroups by entries
+    # bounded by the residues they hold as well as by entries, and a field holds its fixing subgroup
+    # reduced mod d only for the divisors d of its conductor
     for cached in PER_ORDER_MEMOS:
         info = cached.cache_info()
         assert (info["max_entries"], info["max_residues"]) == (limits.MEMO_ENTRIES, limits.MEMO_RESIDUES)
         assert info["entries"] <= info["max_entries"]
         assert info["residues"] <= info["max_residues"] or info["entries"] == 1
-    maxsize = circint.fields._reduced.cache_info().maxsize
-    assert isinstance(maxsize, int) and maxsize > 0
+    field = parse_field("custom:21:4")
+    for n in range(2, 200):
+        r_count(n, field)
+    assert set(field._reductions) == set(sympy.divisors(21))
 
 
 def test_memos_hold_at_most_the_residue_bound():
@@ -276,19 +279,20 @@ class WalkCountedTuple(tuple):
 
 def test_fixing_subgroup_is_reduced_once_per_divisor_of_the_conductor():
     # the build, its checks and r_count read H mod d = gcd(21, 420/p) for each of the 23 divisors p
-    # of 420, and galois_subgroup_mod reads it at every g; H is listed once for each of the 4 values of d
+    # of 420, and galois_subgroup_mod reads it at every g; H is listed once for each of the 4 values of d,
+    # and the field keeps the 4 reductions
     field = parse_field("custom:21:4")
     hash(field)
     elements = WalkCountedTuple(field.fixing_subgroup.elements)
     object.__setattr__(field.fixing_subgroup, "elements", elements)
-    circint.fields._reduced.cache_clear()
+    assert "_reductions" not in field.__dict__  # a new field has reduced nothing yet
     circint.orbits._partition_cached.cache_clear()
     elements.walks = 0
     orbit_partition(420, field)
     r_count(420, field)
     for g in (1, 3, 7, 12, 21, 35, 420):
         galois_subgroup_mod(field, g)
-    assert elements.walks <= len({gcd(21, g) for g in sympy.divisors(420)}) == 4
+    assert elements.walks <= len({gcd(21, g) for g in sympy.divisors(420)}) == len(field._reductions) == 4
 
 
 def test_json_shape():
@@ -554,6 +558,28 @@ def test_block_counts_decide_like_the_scan(spec):
             v = verdict.violation
             got = verdict.integral, verdict.block_indices, v and (v.block_index, v.missing, v.present)
             assert got == scan_classify(part, members), (n, members)
+
+
+def test_dropped_fields_leave_no_reductions_behind():
+    # a field owns its reduced fixing subgroups, so once the field and the partitions built over it
+    # are dropped nothing of it is held; a module-level cache keyed by the field kept each alive
+    orbit_partition(12, field_quadratic(-5))  # warm the module-level state the build touches
+    circint.orbits._partition_cached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for d in (-5001, -5002, -5005, -5006):  # conductors near 2 * 10^4
+            field = field_quadratic(d)
+            orbit_partition(field.conductor, field)
+            one = tracemalloc.get_traced_memory()[0] - before
+            del field
+            circint.orbits._partition_cached.cache_clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 20_000 < one, (one, held)  # one field and its partition take about 0.5 MB
 
 
 @pytest.mark.parametrize("n,spec", [(99991, "cyclo:99991"), (98280, "Qi")])
