@@ -197,6 +197,9 @@ def _cmd_verify(args) -> int:
         raise CircError(f"--samples must be positive, got {samples}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise CircError(f"--tol must be finite and positive, got {args.tol}")
+    limits.check_modulus(hi)  # the whole range, before the first report is printed
+    if samples is None:
+        limits.check_exhaustive(hi)
     all_passed = True
     for n in range(lo, hi + 1):
         reports = [cross_verify(n, field, samples=samples, seed=args.seed)]

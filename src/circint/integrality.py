@@ -78,14 +78,7 @@ def is_integral(spec: CirculantSpec, field: AbelianField) -> IntegralityVerdict:
     union of whole orbit blocks. The verdict carries either the covered
     block indices or the first partially covered block as witness."""
     limits.check_modulus(spec.order)
-    return _verdict(_partition_cached(spec.order, field), spec.connection_set)
-
-
-def _verdict(part, members) -> IntegralityVerdict:
-    """is_integral on a CirculantSpec's connection set ``members``, given
-    its order's partition: for callers that checked the order and fetched
-    the partition once for many sets."""
-    covered, witness = part._cover(members)
+    covered, witness = _partition_cached(spec.order, field)._cover(spec.connection_set)
     if witness is None:
         return IntegralityVerdict(True, block_indices=covered)
     return IntegralityVerdict(False, violation=BlockViolation(*witness))

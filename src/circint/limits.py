@@ -38,6 +38,11 @@ def check_modulus(n: int) -> None:
         raise LimitExceeded(f"modulus {n} exceeds limit {bound}; {ENV_MODULUS} raises it")
 
 
+def check_exhaustive(n: int) -> None:
+    if n > EXHAUSTIVE_BOUND:
+        raise LimitExceeded(f"exhaustive sweep needs n <= {EXHAUSTIVE_BOUND}, got {n}")
+
+
 def check_order(n: int) -> None:
     if n > EXACT_ORDER_LIMIT:
         raise LimitExceeded(f"order {n} exceeds exact-order limit {EXACT_ORDER_LIMIT}, which bounds spectrum "

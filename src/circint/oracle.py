@@ -68,19 +68,20 @@ def _decide(tables, n: int, members) -> bool:
     return not _moved(n, fixers, [(s, 1) for s in members])
 
 
-def _moved(m: int, elements, terms) -> bool:
-    """True iff some element h of H at modulus m moves the value of order m
-    that is the sum of c * zeta_m^k over the (k, c) in terms. zeta_m ->
-    zeta_m^h moves the coefficient at k to h*k mod m; an image that equals
-    the value as a vector needs no zero test."""
+def _moved(m: int, elements, terms) -> int:
+    """The first element h of H at modulus m, listed ascending in elements,
+    that moves the value of order m that is the sum of c * zeta_m^k over
+    the (k, c) in terms; 0 when none does. zeta_m -> zeta_m^h moves the
+    coefficient at k to h*k mod m; an image that equals the value as a
+    vector needs no zero test."""
     for h in elements[1:]:
         diff = [0] * m
         for k, c in terms:
             diff[h * k % m] += c
             diff[k] -= c
         if any(diff) and not cyclotomic._is_zero(m, diff):
-            return True
-    return False
+            return h
+    return 0
 
 
 @limits.Memo  # about 35 bytes per residue, 3.5 MB at (99990, Q); keeps its field alive until evicted

@@ -2,11 +2,12 @@
 
 cross_verify runs the fast union-of-blocks decision and the exact
 eigenvalue oracle side by side over subsets of {1, ..., n-1}, either
-exhaustively or on seeded random samples (each subset drawn as n-1
-independent fair bits, bit i covering residue i+1). lemma1_check tests
-the structural properties the block construction promises: every block's
-power sum P_B(s), the spectrum of D(n, B), lies in the target field, and
-blocks have pairwise disjoint nonempty supports.
+exhaustively, by subset size, or on seeded random samples (each subset
+drawn as n-1 independent fair bits, bit i covering residue i+1); either
+way mismatches are sorted by subset. lemma1_check tests the structural
+properties the block construction promises: every block's power sum
+P_B(s), the spectrum of D(n, B), lies in the target field, every block
+is one Galois orbit, and blocks have pairwise disjoint nonempty supports.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from __future__ import annotations
 import random
 import time
 from contextlib import suppress
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import limits
-from .cyclotomic import cyc_equal, eigenvalue
-from .errors import DegenerateOrder, InvalidSet, LimitExceeded, UnsupportedLattice
+from .errors import DegenerateOrder, InvalidSet, OutOfRange, UnsupportedLattice
 from .fields import AbelianField, galois_subgroup_mod
-from .integrality import CirculantSpec, _verdict
-from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, _decide, _divisor_gathers, numeric_lattice_check
+from .integrality import CirculantSpec
+from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, _decide, _divisor_gathers, _moved, numeric_lattice_check
 from .orbits import orbit_partition
 from .records import Record
 
@@ -58,54 +58,43 @@ class VerificationReport(Record):
         return out
 
 
-def _subset_masks(n: int, samples: int | None, seed: int):
+def _subsets(n: int, samples: int | None, seed: int):
     if n < 2:
         raise DegenerateOrder(f"verification needs n >= 2, got {n}")
     if samples is None:
-        if n > limits.EXHAUSTIVE_BOUND:
-            raise LimitExceeded(f"exhaustive sweep needs n <= {limits.EXHAUSTIVE_BOUND}, got {n}")
-        return range(1 << (n - 1)), "exhaustive", None
+        limits.check_exhaustive(n)
+        return chain.from_iterable(combinations(range(1, n), k) for k in range(n)), 1 << (n - 1), "exhaustive", None
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = random.Random(seed)
-    return [rng.getrandbits(n - 1) for _ in range(samples)], "sample", seed
-
-
-# the members a byte of a mask covers, as bits 0-7 and as bits 8-15
-_LOW_BYTE = tuple(tuple(i + 1 for i in range(8) if b >> i & 1) for b in range(256))
-_HIGH_BYTE = tuple(tuple(s + 8 for s in low) for low in _LOW_BYTE)
+    return map(_members, [rng.getrandbits(n - 1) for _ in range(samples)]), samples, "sample", seed
 
 
 def _members(mask: int) -> tuple[int, ...]:
-    """Bit i covers residue i + 1: a mask below 2^16 is two table reads,
-    a larger one a pass over bin(mask), not a shift per bit."""
-    if mask < 0x10000:
-        return _LOW_BYTE[mask & 0xFF] + _HIGH_BYTE[mask >> 8]
+    """Bit i covers residue i + 1: one pass over bin(mask), not a shift per bit."""
     return tuple(i for i, b in enumerate(reversed(bin(mask)), 1) if b == "1")
 
 
 def _sweep(n: int, field: AbelianField, samples: int | None, seed: int, mode: str | None,
            decider) -> VerificationReport:
-    """Compare decide(spec) with the exact oracle on every subset of the
+    """Compare decide(members) with the exact oracle on every set of the
     sweep, decide = decider() taken once the order has been checked against
     the modulus bound, so neither side checks it or looks up its tables
     again per set. The report is named ``mode``, or after the sweep itself
     ("exhaustive" or "sample") when that is None."""
     start = time.perf_counter()
     limits.check_modulus(n)  # before n - 1 random bits are drawn per sample
-    masks, sweep_mode, used_seed = _subset_masks(n, samples, seed)
+    subsets, cases, sweep_mode, used_seed = _subsets(n, samples, seed)
     decide, tables = decider(), _divisor_gathers(n, field)
     mismatches = []
-    for mask in masks:
-        spec = CirculantSpec(n, _members(mask))
-        got = decide(spec)
-        expected = _decide(tables, n, spec.connection_set)
+    for members in subsets:
+        got = decide(members)
+        expected = _decide(tables, n, members)
         if got != expected:
-            mismatches.append({"S": list(spec.connection_set), "expected": expected, "got": got})
+            mismatches.append({"S": list(members), "expected": expected, "got": got})
     mismatches.sort(key=lambda m: m["S"])
     elapsed = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(n, field.describe(), mode or sweep_mode, len(masks), tuple(mismatches),
-                              used_seed, elapsed)
+    return VerificationReport(n, field.describe(), mode or sweep_mode, cases, tuple(mismatches), used_seed, elapsed)
 
 
 def cross_verify(n: int, field: AbelianField, *, samples: int | None = None,
@@ -119,7 +108,7 @@ def cross_verify(n: int, field: AbelianField, *, samples: int | None = None,
     """
     def decider():
         part = orbit_partition(n, field)
-        return lambda spec: _verdict(part, spec.connection_set).integral
+        return lambda members: part._cover(members)[1] is None
 
     return _sweep(n, field, samples, seed, None, decider)
 
@@ -139,7 +128,8 @@ def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
         lattice = GAUSSIAN_LATTICE
     else:
         raise UnsupportedLattice(f"numeric check supports Q and Qi only, not {field.describe()}")
-    return _sweep(n, field, samples, seed, "numeric", lambda: lambda spec: numeric_lattice_check(spec, lattice, tol))
+    return _sweep(n, field, samples, seed, "numeric",
+                  lambda: lambda members: numeric_lattice_check(CirculantSpec(n, members), lattice, tol))
 
 
 def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
@@ -148,19 +138,20 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     One case per (block, frequency) pair verifies that the block's power
     sum P_B(s) lies in the target field. P_B(s) is the eigenvalue of
     D(n, B) at frequency s, so one oracle decision, on tables fetched once
-    per report, decides every s of a block. A block it rejects, or whose
-    members are not a valid connection set, is searched: the image of
-    P_B(s) under zeta -> zeta^a is P_B(a*s), so each a in the Galois
-    subgroup at modulus n, read from those tables, is checked by comparing
-    the two, and the first a that moves it is recorded. The search is
-    O(n^2 |H|), so above the exact-order bound it raises LimitExceeded.
+    per report, decides every s of a block; an accepted block that holds k
+    orbits of H, the Galois subgroup at modulus n, not one, is recorded
+    with k. A block it rejects, or whose members are not a valid connection
+    set, is searched: the image of P_B(s) under zeta -> zeta^a is P_B(a*s),
+    so the oracle's image test finds the first a in H, read from those
+    tables, that moves P_B(s), and records it. The search is O(n^2 |H|), so
+    above the exact-order bound it raises LimitExceeded.
     One case per block pair verifies disjoint supports; the pairs are
     intersected only when some residue repeats. Empty blocks are rejected.
     """
     start = time.perf_counter()
     part = orbit_partition(n, field)
     tables = _divisor_gathers(n, field)
-    fixers, mismatches, flat = tables[1], [], []
+    (_, fixers, leader_of, orbit_size), mismatches, flat = tables, [], []
     for bi, (_, block) in enumerate(part.slices()):
         members = tuple(block)
         flat.extend(members)
@@ -168,14 +159,18 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
             mismatches.append({"block": bi, "empty": True})
         with suppress(InvalidSet):  # members unsorted, repeated or out of range: a corrupted partition
             if _decide(tables, n, CirculantSpec(n, members).connection_set):  # orbit_partition checked n
+                leaders = set(map(leader_of.__getitem__, members))
+                if members and [len(members)] != [orbit_size[r] for r in leaders]:  # not one whole orbit
+                    mismatches.append({"block": bi, "orbits": len(leaders)})
                 continue
         limits.check_order(n)  # only a corrupted partition reaches the search
+        for x in members:
+            if not 1 <= x < n:
+                raise OutOfRange(f"connection element {x} outside [1, {n})")
         for s in range(1, n):
-            value = eigenvalue(n, members, s)
-            for a in fixers[1:]:
-                if not cyc_equal(eigenvalue(n, members, a * s % n), value):
-                    mismatches.append({"block": bi, "s": s, "moved_by": a})
-                    break
+            a = _moved(n, fixers, [(x * s % n, 1) for x in members])
+            if a:
+                mismatches.append({"block": bi, "s": s, "moved_by": a})
     if len(set(flat)) < len(flat):
         supports = [set(block) for _, block in part.slices()]
         for (i, first), (j, second) in combinations(enumerate(supports), 2):

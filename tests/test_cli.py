@@ -271,6 +271,17 @@ def test_verify_checks_the_modulus_before_drawing_samples(capsys, monkeypatch):
     assert code == 3 and out == "" and "exhaustive" in err
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["13..15", "--field", "Q", "--exhaustive"], None, "exhaustive sweep needs n <= 14, got 15"),
+    (["18..21", "--field", "Q", "--samples", "2"], "20", "modulus 21 exceeds limit 20"),
+], ids=["exhaustive", "modulus"])
+def test_verify_checks_the_whole_range_before_the_first_report(capsys, monkeypatch, argv, env, message):
+    if env:
+        monkeypatch.setenv("CIRC_LIMIT_MODULUS", env)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 3 and out == "" and message in err
+
+
 def test_exact_order_limit_says_what_it_bounds(capsys, monkeypatch):
     monkeypatch.setenv("CIRC_LIMIT_MODULUS", "200000")  # the variable that raises the modulus bound does not help
     code, out, err = run_cli(capsys, "spectrum", "10001", "--set", "1", "--exact")

@@ -7,9 +7,11 @@ import pytest
 
 import circint.verify
 from circint import (
+    CirculantSpec,
     CyclotomicInteger,
     LimitExceeded,
     OrbitPartition,
+    OutOfRange,
     UnsupportedLattice,
     VerificationReport,
     cross_verify,
@@ -22,6 +24,7 @@ from circint import (
     lattice_cross_verify,
     lemma1_check,
     limits,
+    oracle_is_integral,
     orbit_partition,
     parse_field,
 )
@@ -237,10 +240,65 @@ def test_lemma1_refuses_to_search_a_rejected_block_above_the_exact_order_bound(m
     monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: split)
     judged, searched, oracle = [], [], circint.verify._decide
     monkeypatch.setattr(circint.verify, "_decide", lambda tables, n, s: judged.append(s) or oracle(tables, n, s))
-    monkeypatch.setattr(circint.verify, "eigenvalue", lambda *args: searched.append(args))
+    monkeypatch.setattr(circint.verify, "_moved", lambda *args: searched.append(args))
     with pytest.raises(LimitExceeded, match="exact-order limit"):
         lemma1_check(n, field)
     assert judged == [tuple(range(1, 5004))] and searched == []
+
+
+def merged(n, field):
+    """The partition of (n, field) with its first two same-divisor blocks
+    merged into one ascending block: a union of two orbits."""
+    blocks = [(b.divisor, b.members) for b in orbit_partition(n, field).blocks]
+    i = next(i for i in range(len(blocks) - 1) if blocks[i][0] == blocks[i + 1][0])
+    p, first = blocks[i]
+    blocks[i:i + 2] = [(p, tuple(sorted(first + blocks[i + 1][1])))]
+    return i, OrbitPartition.from_blocks(n, field, blocks)
+
+
+@pytest.mark.parametrize("n, spec", [(60, "Qi"), (1001, "sqrt:-7"), (9240, "sqrt:5"), (60060, "sqrt:-7")])
+def test_lemma1_sees_a_block_that_holds_two_orbits(monkeypatch, n, spec):
+    # the oracle accepts a union of two orbits, so only the orbit count of an accepted block shows it
+    field = parse_field(spec)
+    i, part = merged(n, field)
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: part)
+    rep = lemma1_check(n, field)
+    r = part.block_count
+    assert rep.mismatches == ({"block": i, "orbits": 2},) and rep.cases_checked == (n - 1) * r + r * (r - 1) // 2
+
+
+def mask_order_mismatches(n, field, part):
+    """Reference: the exhaustive sweep's mismatches, every mask decoded in
+    counter order (bit i covering residue i + 1), sorted by subset."""
+    out = []
+    for mask in range(1 << (n - 1)):
+        members = tuple(i + 1 for i in range(n - 1) if mask >> i & 1)
+        got = part.cover(members)[1] is None
+        expected = oracle_is_integral(CirculantSpec(n, members), field)
+        if got != expected:
+            out.append({"S": list(members), "expected": expected, "got": got})
+    return sorted(out, key=lambda m: m["S"])
+
+
+@pytest.mark.parametrize("n, spec, count", [(13, "cyclo:13", 2048), (12, "Qi", None)])
+def test_exhaustive_mismatches_do_not_depend_on_the_sweep_order(monkeypatch, n, spec, count):
+    field = parse_field(spec)
+    _, part = merged(n, field)
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: part)
+    rep = cross_verify(n, field)
+    assert rep.cases_checked == 1 << (n - 1) and rep.mismatches
+    assert list(rep.mismatches) == mask_order_mismatches(n, field, part)
+    assert count is None or len(rep.mismatches) == count
+
+
+@pytest.mark.parametrize("first, bad", [((1, 5, 13, 24), 24), ((0, 1, 5, 13, 17), 0), ((1, 30, 5, 0), 30)])
+def test_lemma1_names_the_first_member_out_of_range(monkeypatch, first, bad):
+    field = field_gaussian()
+    blocks = [(b.divisor, b.members) for b in orbit_partition(24, field).blocks]
+    part = OrbitPartition.from_blocks(24, field, [(1, first)] + blocks[1:])
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: part)
+    with pytest.raises(OutOfRange, match=rf"^connection element {bad} outside \[1, 24\)$"):
+        lemma1_check(24, field)
 
 
 def test_report_json_shape():
