@@ -128,28 +128,24 @@ def _cmd_enumerate(args) -> int:
         raise CircError(f"--limit must be non-negative, got {args.limit}")
     from decimal import Decimal
 
-    from .integrality import count_integral, enumerate_integral
+    from .integrality import _integral_sets, count_integral
 
     n, field = args.n, parse_field(args.field)
-    sets = enumerate_integral(n, field, limit=args.limit)
+    blocks, sets = _integral_sets(n, field, args.limit)
     total = count_integral(n, field)
     # Each line is verdict_to_json of an integral verdict, written from text
-    # tables of the residues and block indices the masks reach: turning ints
-    # into text was most of a line's cost. The k-th set is mask k of the
-    # binary counter over block indices, so no mask reaches a block past the
-    # top bit of the last one.
-    reach = max((total if args.limit is None else min(total, args.limit)) - 1, 0).bit_length()
+    # tables of the residues and block indices the walk reaches: turning ints
+    # into text was most of a line's cost.
     text = {}
-    for _, members in islice(orbit_partition(n, field).slices(), reach):
+    for members in blocks:
         text.update(zip(members, map(str, members)))
-    index_text = [str(i) for i in range(reach)]
+    index_text = list(map(str, range(len(blocks))))
     head = f'{{"n":{n},"S":['
     middle = f'],"field":{_dumps(field.describe())},"integral":true,"blocks":['
     write = sys.stdout.write
     emitted = 0
-    for spec in sets:
-        covered = ",".join([index_text[i] for i in range(emitted.bit_length()) if emitted >> i & 1])
-        write(head + ",".join(map(text.__getitem__, spec.connection_set)) + middle + covered
+    for covered, members in sets:
+        write(head + ",".join(map(text.__getitem__, members)) + middle + ",".join(map(index_text.__getitem__, covered))
               + '],"violation":null}\n')
         emitted += 1
     # str(Decimal(2^r)) is exact, and free of the 4300-digit limit on str(int) past r = 14284

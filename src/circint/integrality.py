@@ -94,14 +94,9 @@ def count_integral(n: int, field: AbelianField) -> int:
     return 1 << r_count(n, field)
 
 
-def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
-    """Stream every integral connection set exactly once.
-
-    Order is the binary counter over canonical block indices (bit i covers
-    block i): the empty set comes first and all of {1, ..., n-1} last.
-    Without an explicit ``limit`` the full count must fit the enumeration
-    budget; a negative ``limit`` raises ValueError.
-    """
+def _integral_sets(n: int, field: AbelianField, limit: int | None):
+    """(the blocks the masks reach, a stream of (covered block indices,
+    sorted members) in counter order); the checks and the walk run on call."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     part = orbit_partition(n, field)
@@ -111,15 +106,21 @@ def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
     if limit is None and total > cap:
         raise TooManyOrbits(f"2^{r} sets exceeds budget {cap}; pass a limit (--limit) or raise {limits.ENV_ENUM}")
     masks = range(total if limit is None else min(total, limit))
+    # the last mask is the largest, so no mask reaches a block past its top bit
+    blocks = [ms for _, ms in islice(part.slices(), max(masks.stop - 1, 0).bit_length())]
+    covers = ([i for i in range(mask.bit_length()) if mask >> i & 1] for mask in masks)
+    return blocks, ((c, sorted(chain.from_iterable(map(blocks.__getitem__, c)))) for c in covers)
 
-    def _generate():
-        # the last mask is the largest, so no mask reaches a block past its top bit
-        blocks = [ms for _, ms in islice(part.slices(), (masks.stop - 1).bit_length())]
-        for mask in masks:
-            members = sorted(chain.from_iterable(blocks[i] for i in range(mask.bit_length()) if mask >> i & 1))
-            yield CirculantSpec(n, tuple(members))
 
-    return _generate()
+def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):
+    """Stream every integral connection set exactly once.
+
+    Order is the binary counter over canonical block indices (bit i covers
+    block i): the empty set comes first and all of {1, ..., n-1} last.
+    Without an explicit ``limit`` the full count must fit the enumeration
+    budget; a negative ``limit`` raises ValueError.
+    """
+    return (CirculantSpec(n, tuple(members)) for _, members in _integral_sets(n, field, limit)[1])
 
 
 def verdict_to_json(spec: CirculantSpec, field: AbelianField, verdict: IntegralityVerdict) -> dict:

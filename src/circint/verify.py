@@ -140,11 +140,11 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     D(n, B) at frequency s, so one oracle decision, on tables fetched once
     per report, decides every s of a block; an accepted block that holds k
     orbits of H, the Galois subgroup at modulus n, not one, is recorded
-    with k. A block it rejects, or whose members are not a valid connection
-    set, is searched: the image of P_B(s) under zeta -> zeta^a is P_B(a*s),
-    so the oracle's image test finds the first a in H, read from those
-    tables, that moves P_B(s), and records it. The search is O(n^2 |H|), so
-    above the exact-order bound it raises LimitExceeded.
+    with k. A block it rejects, or whose members (in any order) repeat or
+    leave [1, n), is searched: the image of P_B(s) under zeta -> zeta^a
+    is P_B(a*s), so the oracle's image test finds the first a in H, read
+    from those tables, that moves P_B(s), and records it. The search is
+    O(n^2 |H|), so above the exact-order bound it raises LimitExceeded.
     One case per block pair verifies disjoint supports; the pairs are
     intersected only when some residue repeats. Empty blocks are rejected.
     """
@@ -157,8 +157,8 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
         flat.extend(members)
         if not members:
             mismatches.append({"block": bi, "empty": True})
-        with suppress(InvalidSet):  # members unsorted, repeated or out of range: a corrupted partition
-            if _decide(tables, n, CirculantSpec(n, members).connection_set):  # orbit_partition checked n
+        with suppress(InvalidSet):  # members repeated or out of range: a corrupted partition
+            if _decide(tables, n, CirculantSpec(n, tuple(sorted(members))).connection_set):  # orbit_partition checked n
                 leaders = set(map(leader_of.__getitem__, members))
                 if members and [len(members)] != [orbit_size[r] for r in leaders]:  # not one whole orbit
                     mismatches.append({"block": bi, "orbits": len(leaders)})

@@ -208,6 +208,18 @@ def test_enumerate_builds_no_table_of_the_order(capsys):
     assert peak < 4 * 99991  # a list of n pointers alone takes 8 bytes a residue
 
 
+def test_enumerate_writes_from_one_walk_and_checks_no_set(capsys, monkeypatch):
+    # the lines come from the library's walk of the partition, whose sets are unions of
+    # blocks checked when it was built, so the command builds no CirculantSpec per set
+    checks, walks = [], []
+    post_init, slices = CirculantSpec.__post_init__, OrbitPartition.slices
+    monkeypatch.setattr(CirculantSpec, "__post_init__", lambda self: checks.append(self) or post_init(self))
+    monkeypatch.setattr(OrbitPartition, "slices", lambda self: walks.append(self) or slices(self))
+    code, out, _ = run_cli(capsys, "enumerate", "200", "--field", "Qi", "--limit", "2400")
+    assert code == 0 and json.loads(out.splitlines()[-1])["count"] == 2400
+    assert checks == [] and len(walks) == 1
+
+
 def test_enumerate_prints_totals_past_the_int_digit_limit(capsys):
     # over cyclo:14401 every residue is its own block, so the total 2^14400
     # has 4,335 digits, past the int-to-str limit of Python >= 3.10.7

@@ -134,6 +134,8 @@ def test_enumerate_order_and_content():
 def test_enumerate_budget(monkeypatch):
     monkeypatch.setenv("CIRC_LIMIT_ENUM", "4")
     with pytest.raises(TooManyOrbits):
+        enumerate_integral(6, field_rationals())  # on the call, not on the first next()
+    with pytest.raises(TooManyOrbits):
         list(enumerate_integral(6, field_rationals()))
     # a limit waives the budget
     assert len(list(enumerate_integral(6, field_rationals(), limit=3))) == 3

@@ -206,7 +206,7 @@ def test_members_decode_masks_like_a_shift_per_bit():
     for n in range(2, 13):
         for mask in range(1 << (n - 1)):
             assert circint.verify._members(mask) == shifted(mask, n)
-    # masks below 2^16 are decoded from byte tables, larger ones from bin()
+    # every mask is decoded from bin(), whatever its size
     for mask in range((1 << 16) + 64):
         assert circint.verify._members(mask) == shifted(mask, 18)
     rng = random.Random(5000)
@@ -246,13 +246,15 @@ def test_lemma1_refuses_to_search_a_rejected_block_above_the_exact_order_bound(m
     assert judged == [tuple(range(1, 5004))] and searched == []
 
 
-def merged(n, field):
+def merged(n, field, ascending=True):
     """The partition of (n, field) with its first two same-divisor blocks
-    merged into one ascending block: a union of two orbits."""
+    merged into one block, ascending or the two concatenated: a union of
+    two orbits."""
     blocks = [(b.divisor, b.members) for b in orbit_partition(n, field).blocks]
     i = next(i for i in range(len(blocks) - 1) if blocks[i][0] == blocks[i + 1][0])
     p, first = blocks[i]
-    blocks[i:i + 2] = [(p, tuple(sorted(first + blocks[i + 1][1])))]
+    union = first + blocks[i + 1][1]
+    blocks[i:i + 2] = [(p, tuple(sorted(union)) if ascending else union)]
     return i, OrbitPartition.from_blocks(n, field, blocks)
 
 
@@ -265,6 +267,16 @@ def test_lemma1_sees_a_block_that_holds_two_orbits(monkeypatch, n, spec):
     rep = lemma1_check(n, field)
     r = part.block_count
     assert rep.mismatches == ({"block": i, "orbits": 2},) and rep.cases_checked == (n - 1) * r + r * (r - 1) // 2
+
+
+@pytest.mark.parametrize("n, spec", [(60, "Qi"), (1001, "sqrt:-7")])
+def test_lemma1_judges_a_block_by_its_member_set(monkeypatch, n, spec):
+    # the same merged block stored unsorted: its order must not send it to the search, which
+    # finds nothing in a union of orbits
+    field = parse_field(spec)
+    i, part = merged(n, field, ascending=False)
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: part)
+    assert lemma1_check(n, field).mismatches == ({"block": i, "orbits": 2},)
 
 
 def mask_order_mismatches(n, field, part):
