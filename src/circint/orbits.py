@@ -59,6 +59,7 @@ class OrbitPartition(Record):
         d["order"], d["field"], d["members"], d["runs"] = order, field, members, runs
 
     __hash__ = None  # the member array is mutable
+    _NOWHERE = 0xFFFFFFFF  # the lookup's block index of a residue that no block holds
 
     @classmethod
     def from_blocks(cls, order: int, field: AbelianField, blocks) -> OrbitPartition:
@@ -90,14 +91,17 @@ class OrbitPartition(Record):
 
     @cached_property
     def _lookup(self) -> tuple[array, array]:
-        """(starts, index): block i is members[starts[i]:starts[i + 1]], and
-        block index[x] holds x; built in one walk on first use, never by a build."""
-        starts, index = array("I", [0]), array("I", bytes(4 * self.order))
-        for _, h, k in self.runs:
-            first, start = len(starts) - 1, starts[-1]
-            for j, x in enumerate(self.members[start:start + h * k]):
-                index[x] = first + j // h
-            starts.extend(accumulate(repeat(h, k - 1), initial=start + h))
+        """(starts, index): block i is members[starts[i]:starts[i + 1]], and block index[x] holds
+        x, or _NOWHERE where none does; built in one walk on first use, never by a build."""
+        starts, index = array("I", [0]), array("I", b"\xff" * (4 * self.order))
+        try:
+            for p, h, k in self.runs:
+                first, start = len(starts) - 1, starts[-1]
+                for j, x in enumerate(self.members[start:start + h * k]):
+                    index[x] = first + j // h
+                starts.extend(accumulate(repeat(h, k - 1), initial=start + h))
+        except IndexError:  # only from_blocks holds a member past n - 1
+            raise ValueError(f"a block over divisor {p} leaves [1, {self.order})") from None
         return starts, index
 
     def block(self, i: int) -> array:
@@ -117,14 +121,16 @@ class OrbitPartition(Record):
         """Index of the unique block containing x."""
         if not 1 <= x < self.order:
             raise OutOfRange(f"{x} outside [1, {self.order})")
-        return self._lookup[1][x]
+        if (i := self._lookup[1][x]) != self._NOWHERE:
+            return i
+        raise ValueError(f"no block holds {x}")
 
     def cover(self, members) -> tuple:
         """(covered block indices, None) if S, distinct residues in [1, n),
         is a union of blocks: the blocks it touches hold |S| members. Else
         (None, (i, missing, present)): the first touched block i that S
         covers in part, its members split in block order. A member outside
-        [1, n) raises OutOfRange, a repeated member ValueError."""
+        [1, n) raises OutOfRange; a repeated one, or untiled blocks, ValueError."""
         if members and not 1 <= min(members) <= max(members) < self.order:
             raise OutOfRange(f"set spans {min(members)}..{max(members)}, not inside [1, {self.order})")
         if len(set(members)) != len(members):
@@ -139,14 +145,18 @@ class OrbitPartition(Record):
         # one C-level gather; itemgetter returns a bare item for a single key
         ids = itemgetter(*members)(index) if len(members) > 1 else [index[x] for x in members]
         touched = sorted(set(ids))
-        if sum([starts[i + 1] - starts[i] for i in touched]) == len(members):
-            return tuple(touched), None
+        try:
+            if sum([starts[i + 1] - starts[i] for i in touched]) == len(members):
+                return tuple(touched), None
+        except IndexError:  # touched ends in _NOWHERE
+            raise ValueError(f"no block holds {min(x for x in members if index[x] == self._NOWHERE)}") from None
         inside = set(members).__contains__
         for i in touched:
             block = self.members[starts[i]:starts[i + 1]].tolist()
             present = tuple(filter(inside, block))
             if len(present) < len(block):
                 return None, (i, tuple(filterfalse(inside, block)), present)
+        raise ValueError("the blocks that S touches overlap or repeat a member")
 
     def to_json(self) -> dict:
         return {

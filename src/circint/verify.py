@@ -3,27 +3,30 @@
 cross_verify runs the fast union-of-blocks decision and the exact
 eigenvalue oracle side by side over subsets of {1, ..., n-1}, either
 exhaustively, by subset size, or on seeded random samples (each subset
-drawn as n-1 independent fair bits, bit i covering residue i+1); either
-way mismatches are sorted by subset. lemma1_check tests the structural
-properties the block construction promises: every block's power sum
-P_B(s), the spectrum of D(n, B), lies in the target field, every block
-is one Galois orbit, and blocks have pairwise disjoint nonempty supports.
+drawn when the sweep reaches it, as n-1 independent fair bits, bit i
+covering residue i+1); either way mismatches are sorted by subset.
+lemma1_check tests what the block construction promises: every block's
+power sum P_B(s), the spectrum of D(n, B), lies in the target field (a
+rejected block is searched once per gcd class of s), every block is one
+Galois orbit, and blocks have pairwise disjoint nonempty supports.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from contextlib import suppress
-from itertools import chain, combinations
+from collections import Counter
+from itertools import chain, combinations, repeat
+from math import gcd
 
 from . import limits
-from .errors import DegenerateOrder, InvalidSet, OutOfRange, UnsupportedLattice
+from .errors import DegenerateOrder, OutOfRange, UnsupportedLattice
 from .fields import AbelianField, galois_subgroup_mod
 from .integrality import CirculantSpec
 from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, _decide, _divisor_gathers, _moved, numeric_lattice_check
 from .orbits import orbit_partition
 from .records import Record
+from .residues import _proper_divisors
 
 
 class VerificationReport(Record):
@@ -67,7 +70,7 @@ def _subsets(n: int, samples: int | None, seed: int):
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = random.Random(seed)
-    return map(_members, [rng.getrandbits(n - 1) for _ in range(samples)]), samples, "sample", seed
+    return (_members(rng.getrandbits(n - 1)) for _ in range(samples)), samples, "sample", seed
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -135,45 +138,42 @@ def lattice_cross_verify(n: int, field: AbelianField, tol: float = 1e-6, *,
 def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     """Check the testable block properties in exact arithmetic.
 
-    One case per (block, frequency) pair verifies that the block's power
-    sum P_B(s) lies in the target field. P_B(s) is the eigenvalue of
-    D(n, B) at frequency s, so one oracle decision, on tables fetched once
-    per report, decides every s of a block; an accepted block that holds k
-    orbits of H, the Galois subgroup at modulus n, not one, is recorded
-    with k. A block it rejects, or whose members (in any order) repeat or
-    leave [1, n), is searched: the image of P_B(s) under zeta -> zeta^a
-    is P_B(a*s), so the oracle's image test finds the first a in H, read
-    from those tables, that moves P_B(s), and records it. The search is
-    O(n^2 |H|), so above the exact-order bound it raises LimitExceeded.
-    One case per block pair verifies disjoint supports; the pairs are
-    intersected only when some residue repeats. Empty blocks are rejected.
+    One case per (block, frequency) pair checks that the power sum P_B(s),
+    the eigenvalue of D(n, B) at s, lies in the field: one oracle decision
+    decides a block of distinct members in [1, n), and one it accepts that
+    holds k > 1 orbits of H, the Galois subgroup at modulus n, is recorded
+    with k. Any other nonempty block is searched (LimitExceeded above the
+    exact-order bound) once per proper divisor d of n, O(tau(n) n |H|):
+    P_B(d*u), u a unit, is the image of P_B(d) under zeta -> zeta^u, which
+    commutes with H, so the first h in H that moves P_B(d) is recorded at
+    every s with gcd(s, n) = d. One case per block pair checks disjoint
+    supports; only blocks that hold a repeated residue are intersected.
     """
     start = time.perf_counter()
     part = orbit_partition(n, field)
     tables = _divisor_gathers(n, field)
     (_, fixers, leader_of, orbit_size), mismatches, flat = tables, [], []
     for bi, (_, block) in enumerate(part.slices()):
-        members = tuple(block)
+        members = tuple(sorted(block))
         flat.extend(members)
         if not members:
             mismatches.append({"block": bi, "empty": True})
-        with suppress(InvalidSet):  # members repeated or out of range: a corrupted partition
-            if _decide(tables, n, CirculantSpec(n, tuple(sorted(members))).connection_set):  # orbit_partition checked n
-                leaders = set(map(leader_of.__getitem__, members))
-                if members and [len(members)] != [orbit_size[r] for r in leaders]:  # not one whole orbit
-                    mismatches.append({"block": bi, "orbits": len(leaders)})
-                continue
-        limits.check_order(n)  # only a corrupted partition reaches the search
-        for x in members:
-            if not 1 <= x < n:
-                raise OutOfRange(f"connection element {x} outside [1, {n})")
-        for s in range(1, n):
-            a = _moved(n, fixers, [(x * s % n, 1) for x in members])
-            if a:
-                mismatches.append({"block": bi, "s": s, "moved_by": a})
+        elif 0 < members[0] and members[-1] < n and len(set(members)) == len(members) and _decide(tables, n, members):
+            leaders = set(map(leader_of.__getitem__, members))
+            if [len(members)] != [orbit_size[r] for r in leaders]:  # not one whole orbit
+                mismatches.append({"block": bi, "orbits": len(leaders)})
+        else:  # rejected, or members repeated or out of range: only a corrupted partition
+            limits.check_order(n)
+            for x in block:
+                if not 1 <= x < n:
+                    raise OutOfRange(f"connection element {x} outside [1, {n})")
+            moved = {d: _moved(n, fixers, [(x * d % n, 1) for x in members]) for d in _proper_divisors(n)}
+            by_s = map(moved.__getitem__, map(gcd, range(1, n), repeat(n)))  # s = 1, ..., n - 1
+            mismatches.extend({"block": bi, "s": s, "moved_by": a} for s, a in enumerate(by_s, 1) if a)
     if len(set(flat)) < len(flat):
-        supports = [set(block) for _, block in part.slices()]
-        for (i, first), (j, second) in combinations(enumerate(supports), 2):
+        repeated = {x for x, k in Counter(flat).items() if k > 1}  # every overlap lies in these
+        holders = [(i, set(block)) for i, (_, block) in enumerate(part.slices()) if not repeated.isdisjoint(block)]
+        for (i, first), (j, second) in combinations(holders, 2):
             overlap = first & second
             if overlap:
                 mismatches.append({"blocks": [i, j], "overlap": sorted(overlap)})

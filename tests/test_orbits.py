@@ -15,12 +15,14 @@ import circint.cyclotomic
 import circint.fields
 import circint.oracle
 import circint.orbits
+import circint.verify
 from circint import (
     CirculantSpec,
     DegenerateOrder,
     LimitExceeded,
     OrbitPartition,
     OutOfRange,
+    cross_verify,
     cyclotomic_polynomial,
     euler_phi,
     field_cyclotomic,
@@ -134,6 +136,39 @@ def test_cover_rejects_repeated_residues(members):
     # the touched blocks' sizes would sum to |S| for [1, 1]; [5, 1, 1] would find no partial block
     with pytest.raises(ValueError, match="repeats"):
         orbit_partition(6, field_rationals()).cover(members)
+
+
+def untiled(n, field, edit):
+    """The partition from_blocks holds for edit(blocks), blocks the built
+    (divisor, member list) pairs of (n, field)."""
+    return OrbitPartition.from_blocks(n, field, edit([(p, ms.tolist()) for p, ms in orbit_partition(n, field).slices()]))
+
+
+def test_lookups_refuse_a_residue_that_no_block_holds():
+    # with 7 dropped, the index entry of 7 used to read block 0
+    part = untiled(12, field_gaussian(), lambda blocks: [(p, [x for x in ms if x != 7]) for p, ms in blocks])
+    with pytest.raises(ValueError, match="^no block holds 7$"):
+        part.locate(7)
+    for members in ((1, 5, 7, 11), (7,)):
+        with pytest.raises(ValueError, match="^no block holds 7$"):
+            part.cover(members)
+
+
+def test_cover_refuses_blocks_that_overlap(monkeypatch):
+    # (1, 5) and (5, 7, 11) both hold 5: S = {1, 5, 7, 11} touches both whole, yet their sizes sum to 5
+    field = field_gaussian()
+    part = untiled(12, field, lambda blocks: [(1, [1, 5]), (1, [5, 7, 11])] + blocks[2:])
+    with pytest.raises(ValueError, match="^the blocks that S touches overlap or repeat a member$"):
+        part.cover((1, 5, 7, 11))
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: part)
+    with pytest.raises(ValueError, match="overlap"):
+        cross_verify(12, field)
+
+
+def test_lookups_refuse_a_member_past_the_order():
+    part = untiled(12, field_gaussian(), lambda blocks: [(1, [1, 5, 13])] + blocks[1:])
+    with pytest.raises(ValueError, match=r"^a block over divisor 1 leaves \[1, 12\)$"):
+        part.cover((1, 5))
 
 
 def test_degenerate_and_limit_errors(monkeypatch):

@@ -2,6 +2,9 @@ import json
 import random
 import subprocess
 import sys
+import types
+from contextlib import suppress
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +12,7 @@ import circint.verify
 from circint import (
     CirculantSpec,
     CyclotomicInteger,
+    InvalidSet,
     LimitExceeded,
     OrbitPartition,
     OutOfRange,
@@ -28,6 +32,7 @@ from circint import (
     orbit_partition,
     parse_field,
 )
+from circint.oracle import _decide, _divisor_gathers, _moved
 from cyc_helpers import galois_apply
 
 
@@ -311,6 +316,129 @@ def test_lemma1_names_the_first_member_out_of_range(monkeypatch, first, bad):
     monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: part)
     with pytest.raises(OutOfRange, match=rf"^connection element {bad} outside \[1, 24\)$"):
         lemma1_check(24, field)
+
+
+def per_frequency_lemma1_check(n, field):
+    """Reference: lemma1_check as it was when it routed each block through a
+    CirculantSpec, searched a rejected block at every frequency s, and
+    intersected every block pair once some residue repeated."""
+    part = circint.verify.orbit_partition(n, field)
+    tables = _divisor_gathers(n, field)
+    (_, fixers, leader_of, orbit_size), mismatches, flat = tables, [], []
+    for bi, (_, block) in enumerate(part.slices()):
+        members = tuple(block)
+        flat.extend(members)
+        if not members:
+            mismatches.append({"block": bi, "empty": True})
+        with suppress(InvalidSet):
+            if _decide(tables, n, CirculantSpec(n, tuple(sorted(members))).connection_set):
+                leaders = set(map(leader_of.__getitem__, members))
+                if members and [len(members)] != [orbit_size[r] for r in leaders]:
+                    mismatches.append({"block": bi, "orbits": len(leaders)})
+                continue
+        limits.check_order(n)
+        for x in members:
+            if not 1 <= x < n:
+                raise OutOfRange(f"connection element {x} outside [1, {n})")
+        for s in range(1, n):
+            a = _moved(n, fixers, [(x * s % n, 1) for x in members])
+            if a:
+                mismatches.append({"block": bi, "s": s, "moved_by": a})
+    if len(set(flat)) < len(flat):
+        supports = [set(block) for _, block in part.slices()]
+        for (i, first), (j, second) in combinations(enumerate(supports), 2):
+            overlap = first & second
+            if overlap:
+                mismatches.append({"blocks": [i, j], "overlap": sorted(overlap)})
+    r = part.block_count
+    cases = (n - 1) * r + r * (r - 1) // 2
+    return VerificationReport(n, field.describe(), "lemma1", cases, tuple(mismatches), None, 0)
+
+
+def corrupt(blocks, rng):
+    """One random corruption of the (divisor, members) blocks: a member moved
+    to another block, repeated in its block or shared with another, a block
+    split in two, or its members shuffled."""
+    blocks = [(p, list(ms)) for p, ms in blocks]
+    kind = rng.choice(["moved", "repeated", "shared", "split", "shuffled"])
+    i = rng.randrange(len(blocks))
+    p, ms = blocks[i]
+    if kind == "moved" and len(blocks) > 1:
+        j = rng.choice([j for j in range(len(blocks)) if j != i])
+        blocks[j][1].append(ms.pop(rng.randrange(len(ms))))
+    elif kind == "repeated":
+        ms.insert(rng.randrange(len(ms) + 1), rng.choice(ms))
+    elif kind == "shared":
+        blocks[rng.randrange(len(blocks))][1].append(rng.choice(ms))
+    elif kind == "split" and len(ms) > 1:
+        k = rng.randrange(1, len(ms))
+        blocks[i:i + 1] = [(p, ms[:k]), (p, ms[k:])]
+    else:
+        rng.shuffle(ms)
+    return blocks
+
+
+def test_lemma1_matches_the_per_frequency_search_on_corrupted_partitions(monkeypatch):
+    rng, kinds = random.Random(25), set()
+    for spec in ("Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7", "cyclo:3", "cyclo:8", "cyclo:12",
+                 "custom:21:4,5"):
+        field = parse_field(spec)
+        for n in range(2, 41):
+            built = [(p, ms.tolist()) for p, ms in orbit_partition(n, field).slices()]
+            for _ in range(4):
+                part = OrbitPartition.from_blocks(n, field, corrupt(built, rng))
+                monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k, part=part: part)
+                rep = lemma1_check(n, field)
+                assert rep.to_json(include_elapsed=False) == \
+                    per_frequency_lemma1_check(n, field).to_json(include_elapsed=False)
+                kinds.update(key for m in rep.mismatches for key in m)
+    assert kinds == {"block", "s", "moved_by", "orbits", "blocks", "overlap", "empty"}
+
+
+def test_lemma1_searches_each_rejected_block_once_per_gcd_class(monkeypatch):
+    # both halves are rejected; P_B(d*u) is the image of P_B(d), so each half is searched at
+    # the 31 proper divisors of 2310, not at all 2309 frequencies
+    n, field = 2310, field_gaussian()
+    (p, first), *rest = [(p, ms.tolist()) for p, ms in orbit_partition(n, field).slices()]
+    part = OrbitPartition.from_blocks(n, field, [(p, first[:len(first) // 2]), (p, first[len(first) // 2:])] + rest)
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: part)
+    searched, moved = [], circint.verify._moved
+    monkeypatch.setattr(circint.verify, "_moved", lambda *args: searched.append(args) or moved(*args))
+    rep = lemma1_check(n, field)
+    assert len(searched) == 2 * 31 and len(rep.mismatches) == 4592
+    assert rep.to_json(include_elapsed=False) == per_frequency_lemma1_check(n, field).to_json(include_elapsed=False)
+
+
+def test_lemma1_intersects_only_blocks_that_hold_a_repeated_residue():
+    # over cyclo:20000 every residue is its own block; with the first one duplicated, the two
+    # copies of {1} are the only blocks intersected, not all 2 * 10^8 pairs
+    script = ("import circint.verify\n"
+              "from circint import OrbitPartition, field_cyclotomic, lemma1_check, orbit_partition\n"
+              "field = field_cyclotomic(20000)\n"
+              "blocks = [(p, ms.tolist()) for p, ms in orbit_partition(20000, field).slices()]\n"
+              "part = OrbitPartition.from_blocks(20000, field, blocks[:1] + blocks)\n"
+              "circint.verify.orbit_partition = lambda n, k: part\n"
+              "assert lemma1_check(20000, field).mismatches == ({'blocks': [0, 1], 'overlap': [1]},)\n")
+    subprocess.run([sys.executable, "-c", script], timeout=5, check=True)
+
+
+def test_samples_are_drawn_when_the_sweep_reaches_them(monkeypatch):
+    drawn, decided = [], []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            drawn.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(circint.verify, "random", types.SimpleNamespace(Random=Counting))
+    decide = circint.verify._decide
+    monkeypatch.setattr(circint.verify, "_decide",
+                        lambda tables, n, members: decided.append((len(drawn), members)) or decide(tables, n, members))
+    rep = cross_verify(60, field_rationals(), samples=5, seed=3)
+    assert rep.passed and rep.cases_checked == 5 and len(drawn) == 5
+    assert [k for k, _ in decided] == [1, 2, 3, 4, 5]
+    rng = random.Random(3)
+    assert [s for _, s in decided] == [circint.verify._members(rng.getrandbits(59)) for _ in range(5)]
 
 
 def test_report_json_shape():
