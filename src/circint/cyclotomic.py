@@ -24,11 +24,6 @@ from .residues import _prime_factors
 class CyclotomicInteger(Record):
     _fields = ("order", "coefficients")
 
-    def __init__(self, order: int, coefficients: tuple[int, ...]):
-        d = self.__dict__
-        d["order"], d["coefficients"] = order, coefficients
-        self.__post_init__()
-
     def __post_init__(self):
         if self.order < 1:
             raise DegenerateOrder(f"order must be positive, got {self.order}")
@@ -79,16 +74,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 def _reduce(n: int, coeffs) -> tuple[int, ...]:
     """Remainder of an ascending-degree coefficient vector modulo the n-th
-    cyclotomic polynomial; result has length phi(n)."""
+    cyclotomic polynomial; result has length phi(n). Phi_n(x) =
+    Phi_rad(x^(n/rad)) is sparse, so only its nonzero terms are walked."""
     phi = _cyclotomic(n)
     deg = len(phi) - 1
+    terms = [(j, a) for j, a in enumerate(phi[:deg]) if a]
     rem = list(coeffs)
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
-            for j in range(deg):
-                rem[i - deg + j] -= c * phi[j]
-            rem[i] = 0
+            for j, a in terms:
+                rem[i - deg + j] -= c * a
     return tuple(rem[:deg])
 
 

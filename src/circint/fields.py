@@ -24,11 +24,7 @@ from .residues import UnitSubgroup, _euler_phi, _prime_factors, euler_phi, subgr
 
 class AbelianField(Record):
     _fields = ("conductor", "fixing_subgroup", "label")
-
-    def __init__(self, conductor: int, fixing_subgroup: UnitSubgroup, label: str | None = None):
-        d = self.__dict__
-        d["conductor"], d["fixing_subgroup"], d["label"] = conductor, fixing_subgroup, label
-        self.__post_init__()
+    _defaults = {"label": None}
 
     def __post_init__(self):
         if self.fixing_subgroup.modulus != self.conductor:

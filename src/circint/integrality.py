@@ -23,11 +23,6 @@ class CirculantSpec(Record):
 
     _fields = ("order", "connection_set")
 
-    def __init__(self, order: int, connection_set: tuple[int, ...]):
-        d = self.__dict__
-        d["order"], d["connection_set"] = order, connection_set
-        self.__post_init__()
-
     def __post_init__(self):
         if self.order < 2:
             raise DegenerateOrder(f"need at least 2 vertices, got {self.order}")
@@ -55,18 +50,10 @@ class CirculantSpec(Record):
 class BlockViolation(Record):
     _fields = ("block_index", "missing", "present")
 
-    def __init__(self, block_index: int, missing: tuple[int, ...], present: tuple[int, ...]):
-        d = self.__dict__
-        d["block_index"], d["missing"], d["present"] = block_index, missing, present
-
 
 class IntegralityVerdict(Record):
     _fields = ("integral", "block_indices", "violation")
-
-    def __init__(self, integral: bool, block_indices: tuple | None = None, violation: BlockViolation | None = None):
-        d = self.__dict__
-        d["integral"], d["block_indices"], d["violation"] = integral, block_indices, violation
-        self.__post_init__()
+    _defaults = {"block_indices": None, "violation": None}
 
     def __post_init__(self):
         if self.integral != (self.block_indices is not None) or self.integral != (self.violation is None):

@@ -46,7 +46,8 @@ def check_exhaustive(n: int) -> None:
 def check_order(n: int) -> None:
     if n > EXACT_ORDER_LIMIT:
         raise LimitExceeded(f"order {n} exceeds exact-order limit {EXACT_ORDER_LIMIT}, which bounds spectrum "
-                            f"--exact and the search of a rejected block; no environment variable raises it")
+                            f"--exact and the search of a rejected block (at most log2|H| + 1 images of length "
+                            f"n/d per proper divisor d); no environment variable raises it")
 
 
 def enum_budget() -> int:

@@ -69,18 +69,30 @@ def _decide(tables, n: int, members) -> bool:
 
 
 def _moved(m: int, elements, terms) -> int:
-    """The first element h of H at modulus m, listed ascending in elements,
-    that moves the value of order m that is the sum of c * zeta_m^k over
-    the (k, c) in terms; 0 when none does. zeta_m -> zeta_m^h moves the
-    coefficient at k to h*k mod m; an image that equals the value as a
-    vector needs no zero test."""
+    """The first element h of H, listed ascending in elements at a modulus
+    that m divides, that moves the value of order m that is the sum of
+    c * zeta_m^k over the (k, c) in terms; 0 when none does. zeta_m ->
+    zeta_m^h moves the coefficient at k to h*k mod m; an image that equals
+    the value as a vector needs no zero test. The elements that fix the
+    value form a subgroup, so every h in fixed, the residues mod m of the
+    group the fixers found so far generate, is skipped: each new fixer at
+    least doubles fixed, so at most log2|H| + 1 images are built."""
+    fixed = {1 % m}
     for h in elements[1:]:
+        g = h % m
+        if g in fixed:
+            continue
         diff = [0] * m
         for k, c in terms:
-            diff[h * k % m] += c
+            diff[g * k % m] += c
             diff[k] -= c
         if any(diff) and not cyclotomic._is_zero(m, diff):
             return h
+        power, grown = g, set(fixed)
+        while power not in fixed:  # the cosets g^j * fixed, until g^j falls back in
+            grown.update(power * f % m for f in fixed)
+            power = power * g % m
+        fixed = grown
     return 0
 
 

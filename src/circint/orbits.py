@@ -42,10 +42,6 @@ from .residues import _euler_phi, _prime_factors, _proper_divisors
 class OrbitBlock(Record):
     _fields = ("divisor", "members")
 
-    def __init__(self, divisor: int, members: tuple[int, ...]):
-        d = self.__dict__
-        d["divisor"], d["members"] = divisor, members
-
 
 class OrbitPartition(Record):
     """The blocks of (n, K), one after another in the 'I' array ``members``,
@@ -53,11 +49,6 @@ class OrbitPartition(Record):
     of like blocks; from_blocks builds one from (divisor, members) pairs."""
 
     _fields = ("order", "field", "members", "runs")
-
-    def __init__(self, order: int, field: AbelianField, members: array, runs: tuple[tuple[int, int, int], ...]):
-        d = self.__dict__
-        d["order"], d["field"], d["members"], d["runs"] = order, field, members, runs
-
     __hash__ = None  # the member array is mutable
     _NOWHERE = 0xFFFFFFFF  # the lookup's block index of a residue that no block holds
 

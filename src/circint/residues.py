@@ -25,11 +25,6 @@ class UnitSubgroup(Record):
 
     _fields = ("modulus", "elements")
 
-    def __init__(self, modulus: int, elements: tuple[int, ...]):
-        d = self.__dict__
-        d["modulus"], d["elements"] = modulus, elements
-        self.__post_init__()
-
     def __post_init__(self):
         g = self.modulus
         if g < 1:
@@ -51,11 +46,6 @@ class UnitSubgroup(Record):
     @cached_property
     def _member_set(self) -> frozenset[int]:
         return frozenset(self.elements)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.modulus == other.modulus and self.elements == other.elements
 
     def __hash__(self) -> int:  # a frozenset caches its hash, so cache lookups keyed by a field stay O(1)
         return hash(self._member_set)

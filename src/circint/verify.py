@@ -32,13 +32,6 @@ from .residues import _proper_divisors
 class VerificationReport(Record):
     _fields = ("n", "field", "mode", "cases_checked", "mismatches", "seed", "elapsed_ms")
 
-    def __init__(self, n: int, field: str, mode: str, cases_checked: int, mismatches: tuple, seed: int | None,
-                 elapsed_ms: int):
-        d = self.__dict__
-        d["n"], d["field"], d["mode"], d["cases_checked"] = n, field, mode, cases_checked
-        d["mismatches"], d["seed"], d["elapsed_ms"] = mismatches, seed, elapsed_ms
-        self.__post_init__()
-
     def __post_init__(self):
         if self.cases_checked < 1:
             raise ValueError("a report must cover at least one case")
@@ -143,10 +136,12 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     decides a block of distinct members in [1, n), and one it accepts that
     holds k > 1 orbits of H, the Galois subgroup at modulus n, is recorded
     with k. Any other nonempty block is searched (LimitExceeded above the
-    exact-order bound) once per proper divisor d of n, O(tau(n) n |H|):
-    P_B(d*u), u a unit, is the image of P_B(d) under zeta -> zeta^u, which
-    commutes with H, so the first h in H that moves P_B(d) is recorded at
-    every s with gcd(s, n) = d. One case per block pair checks disjoint
+    exact-order bound) once per proper divisor d of n: P_B(d*u), u a unit,
+    is the image of P_B(d) under zeta -> zeta^u, which commutes with H, so
+    the first h in H that moves P_B(d) is recorded at every s with
+    gcd(s, n) = d. P_B(d) has order n/d and H acts on it mod n/d, so the
+    search builds at most log2|H| + 1 images of length n/d (_moved skips
+    the stabilizer it has found). One case per block pair checks disjoint
     supports; only blocks that hold a repeated residue are intersected.
     """
     start = time.perf_counter()
@@ -167,7 +162,7 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
             for x in block:
                 if not 1 <= x < n:
                     raise OutOfRange(f"connection element {x} outside [1, {n})")
-            moved = {d: _moved(n, fixers, [(x * d % n, 1) for x in members]) for d in _proper_divisors(n)}
+            moved = {d: _moved(n // d, fixers, [(x % (n // d), 1) for x in members]) for d in _proper_divisors(n)}
             by_s = map(moved.__getitem__, map(gcd, range(1, n), repeat(n)))  # s = 1, ..., n - 1
             mismatches.extend({"block": bi, "s": s, "moved_by": a} for s, a in enumerate(by_s, 1) if a)
     if len(set(flat)) < len(flat):

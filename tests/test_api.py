@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import json
 import re
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 import circint
 from circint import (AbelianField, BlockViolation, CirculantSpec, CyclotomicInteger, IntegralityVerdict, OrbitBlock,
                      OrbitPartition, UnitSubgroup, VerificationReport)
+from circint.records import Record
 
 LAYERS = ("cyclotomic", "errors", "fields", "integrality", "oracle", "orbits", "residues", "verify")
 H4 = UnitSubgroup(4, (1,))
@@ -67,6 +70,56 @@ def test_records_construct_positionally_and_by_keyword(cls, fields, _):
         assert {name: getattr(record, name) for name in fields} == fields
     assert by_keyword == positional
     assert repr(by_keyword) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+
+
+@pytest.mark.parametrize("cls, fields, _", RECORDS, ids=IDS)
+def test_records_take_their_fields_as_the_constructor_signature(cls, fields, _):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls._fields == tuple(fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    assert {name: p.default for name, p in params.items() if p.default is not p.empty} == cls._defaults
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+    required = [name for name in cls._fields if name not in cls._defaults]
+    with pytest.raises(TypeError, match=rf"{cls.__qualname__}\.__init__\(\) missing {len(required)} required"):
+        cls()
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(**fields, extra=1)
+    with pytest.raises(TypeError, match="takes"):
+        cls(*fields.values(), 1)
+
+
+def test_no_record_writes_its_own_constructor():
+    # Record writes each subclass's __init__ from _fields and _defaults
+    for path in sorted(Path(circint.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "Record" for b in node.bases):
+                assert "__init__" not in {f.name for f in node.body if isinstance(f, ast.FunctionDef)}, node.name
+    records = Path(circint.__file__).parent / "records.py"
+    assert not re.search(r"^\s*(import|from)\s", records.read_text(), re.MULTILINE)
+
+
+def test_a_subclass_gets_a_constructor_from_its_fields():
+    class Pair(Record):
+        _fields = ("left", "right")
+        _defaults = {"right": []}
+
+    class Checked(Pair):
+        _fields, _defaults = ("left", "right", "total"), {}
+
+        def __post_init__(self):
+            if self.left + self.right != self.total:
+                raise ValueError("total")
+
+    class Empty(Record):
+        pass
+
+    assert Pair(1).right is Pair(2).right == []  # a default is one object, as in a def
+    assert Pair(1, 2) == Pair(right=2, left=1) and not hasattr(Pair, "__post_init__")
+    assert Checked(1, 2, 3).total == 3 and str(inspect.signature(Checked)) == "(left, right, total)"
+    with pytest.raises(ValueError):
+        Checked(1, 2, 4)
+    assert Empty() == Empty() and repr(Empty()).endswith(".Empty()")
 
 
 def test_record_defaults():

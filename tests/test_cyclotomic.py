@@ -135,6 +135,16 @@ def test_reduce_coefficients_length():
         assert not any(reduced[1:])
 
 
+def test_reduce_coefficients_matches_the_dense_division():
+    # the reduction walks only the nonzero terms of Phi_n; the dense
+    # division by all of them is its reference
+    rng = random.Random(2012)
+    for n in [*range(1, 301), 1155]:
+        for _ in range(2):
+            coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
+            assert reduce_coefficients(CyclotomicInteger(n, coeffs)) == dense_reduce(n, coeffs), n
+
+
 def test_root_of_cyclotomic_polynomial_vanishes():
     for n in range(1, 60):
         value = at_root(n, cyclotomic_polynomial(n))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -239,7 +240,7 @@ def test_lattice_cross_verify_answers_above_the_exact_order_bound():
 
 def test_lemma1_refuses_to_search_a_rejected_block_above_the_exact_order_bound(monkeypatch):
     # the single block over Q at a prime n, split in two: each half is rejected by the oracle,
-    # and the O(n^2 |H|) search of it is refused instead of run
+    # and the search of it, at most log2|H| + 1 images per proper divisor, is refused instead of run
     n, field = 10007, field_rationals()
     split = OrbitPartition.from_blocks(n, field, [(1, range(1, 5004)), (1, range(5004, n))])
     monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: split)
@@ -407,6 +408,23 @@ def test_lemma1_searches_each_rejected_block_once_per_gcd_class(monkeypatch):
     rep = lemma1_check(n, field)
     assert len(searched) == 2 * 31 and len(rep.mismatches) == 4592
     assert rep.to_json(include_elapsed=False) == per_frequency_lemma1_check(n, field).to_json(include_elapsed=False)
+
+
+def test_lemma1_skips_the_images_of_the_stabilizer_it_has_found(monkeypatch):
+    # a split first block over Q at 4620, |H| = 960: the elements that fix P_B(d) form a group,
+    # so each search builds at most log2|H| + 1 images of length n/d, not one per element
+    n, field = 4620, field_rationals()
+    (p, first), *rest = [(p, ms.tolist()) for p, ms in orbit_partition(n, field).slices()]
+    part = OrbitPartition.from_blocks(n, field, [(p, first[:len(first) // 2]), (p, first[len(first) // 2:])] + rest)
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: part)
+    searched, images, moved = [], [], circint.verify._moved
+    monkeypatch.setattr(circint.verify, "_moved", lambda *args: searched.append(args) or moved(*args))
+    monkeypatch.setattr(circint.oracle, "any", lambda diff: images.append(len(diff)) or any(diff), raising=False)
+    rep = lemma1_check(n, field)
+    assert len(searched) == 2 * 47 and len(rep.mismatches) == 4560
+    assert len(images) <= len(searched) * (math.log2(960) + 1)
+    assert sum(images) <= sum(m * (math.log2(960) + 1) for m, _, _ in searched)  # each of length n/d
+    assert {m for m, _, _ in searched} == {n // d for d in range(1, n) if n % d == 0}
 
 
 def test_lemma1_intersects_only_blocks_that_hold_a_repeated_residue():
