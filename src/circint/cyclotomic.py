@@ -98,9 +98,7 @@ def cyc_equal(u: CyclotomicInteger, v: CyclotomicInteger) -> bool:
     the common order, tested by _is_zero."""
     if u.order != v.order:
         raise OrderMismatch(f"orders {u.order} and {v.order}")
-    if u.coefficients == v.coefficients:
-        return True
-    return _is_zero(u.order, list(map(sub, u.coefficients, v.coefficients)))
+    return u.coefficients == v.coefficients or _is_zero(u.order, list(map(sub, u.coefficients, v.coefficients)))
 
 
 def _is_zero(n: int, coeffs: list[int]) -> bool:

@@ -40,8 +40,8 @@ class AbelianField(Record):
     def __hash__(self) -> int:
         return hash((self.conductor, self.fixing_subgroup))
 
-    @cached_property  # the fixing subgroup mod d, by d: filled by _fixing_mod, and freed with the field
-    def _reductions(self) -> dict[int, frozenset[int]]:
+    @cached_property  # _fixing_mod's triple, by d: filled by _fixing_mod, and freed with the field
+    def _reductions(self) -> dict[int, tuple[int, frozenset[int], int]]:
         return {}
 
     @property
@@ -144,16 +144,20 @@ def galois_subgroup_mod(field: AbelianField, g: int) -> UnitSubgroup:
 
 
 def _galois_subgroup(field: AbelianField, g: int) -> UnitSubgroup:
-    d, allowed = _fixing_mod(field, g)
+    d, allowed, _ = _fixing_mod(field, g)
     return UnitSubgroup(g, tuple(b for b in range(g) if b % d in allowed and gcd(b, g) == 1))
 
 
-def _fixing_mod(field: AbelianField, g: int) -> tuple[int, frozenset[int]]:
-    """d = gcd(conductor, g) and the fixing subgroup mod d, listed once per (field, d); see galois_subgroup_mod."""
+def _fixing_mod(field: AbelianField, g: int) -> tuple[int, frozenset[int], int]:
+    """d = gcd(conductor, g), the fixing subgroup mod d and the degree phi(d) / |H mod d| of the
+    field's meet with Q(zeta_g), found once per (field, d); see galois_subgroup_mod."""
     d, reductions = gcd(field.conductor, g), field._reductions
     if d not in reductions:
-        reductions[d] = frozenset(x % d for x in field.fixing_subgroup.elements)
-    return d, reductions[d]
+        reduced = frozenset(x % d for x in field.fixing_subgroup.elements)
+        degree, rem = divmod(_euler_phi(d), len(reduced))
+        assert rem == 0  # Lagrange: H mod d is a subgroup of the units mod d
+        reductions[d] = d, reduced, degree
+    return reductions[d]
 
 
 def parse_field(text: str) -> AbelianField:

@@ -9,7 +9,7 @@ distinct connection sets, with no identification of isomorphic digraphs.
 from __future__ import annotations
 
 from itertools import chain, islice
-from operator import lt
+from operator import index, lt
 
 from . import limits
 from .errors import DegenerateOrder, InvalidSet, TooManyOrbits
@@ -27,14 +27,17 @@ class CirculantSpec(Record):
         if self.order < 2:
             raise DegenerateOrder(f"need at least 2 vertices, got {self.order}")
         c = self.connection_set
-        if not c or (c[0] >= 1 and c[-1] < self.order and all(map(lt, c, c[1:]))):
-            return  # strictly increasing inside [1, n): one pass at C speed
+        try:  # strictly increasing integers inside [1, n): one pass at C speed
+            if not c or (c[0] >= 1 and index(c[-1]) < self.order and all(map(lt, map(index, c), c[1:]))):
+                return
+        except TypeError:  # a member that is not an integer, named below
+            pass
         for s in c:
+            if not hasattr(type(s), "__index__"):  # what index() takes
+                raise InvalidSet(f"connection element {s!r} is not an integer")
             if s == 0:
-                raise InvalidSet(
-                    "0 is not allowed in a connection set: a loop adds 1 to "
-                    "every eigenvalue and never changes integrality"
-                )
+                raise InvalidSet("0 is not allowed in a connection set: a loop adds 1 to "
+                                 "every eigenvalue and never changes integrality")
             if not 1 <= s < self.order:
                 raise InvalidSet(f"connection element {s} outside [1, {self.order})")
         if list(c) != sorted(set(c)):
@@ -44,7 +47,11 @@ class CirculantSpec(Record):
     def of(cls, order: int, members) -> "CirculantSpec":
         """Build from any iterable of residues, normalizing order and
         duplicates."""
-        return cls(order, tuple(sorted(set(members))))
+        members = tuple(members)
+        try:  # index() takes every integer type, before 1.0 can stand in for 1 in the set
+            return cls(order, tuple(sorted(set(map(index, members)))))
+        except TypeError:  # a member that is not an integer, which the constructor names
+            return cls(order, members)
 
 
 class BlockViolation(Record):

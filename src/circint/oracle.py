@@ -151,12 +151,9 @@ def numeric_lattice_check(spec, lattice: str, tol: float) -> bool:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    if lattice == RATIONAL_LATTICE:
-        snap_imag = False
-    elif lattice == GAUSSIAN_LATTICE:
-        snap_imag = True
-    else:
+    if lattice not in (RATIONAL_LATTICE, GAUSSIAN_LATTICE):
         raise UnsupportedLattice(f"no floating-point membership test for {lattice!r}")
+    snap_imag = lattice == GAUSSIAN_LATTICE
     for z in numeric_spectrum(spec):
         d_re = abs(z.real - round(z.real))
         d_im = abs(z.imag - round(z.imag)) if snap_imag else abs(z.imag)

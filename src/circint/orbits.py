@@ -160,11 +160,12 @@ class OrbitPartition(Record):
         """Re-derive every structural property; raises on any failure.
 
         The labels are the proper divisors of n, ascending. Over p, with
-        g = n/p and d = gcd(conductor, g), there are phi(g)/h blocks of
-        h = phi(g) |H mod d| / phi(d) members, each block ascending with
-        its members in one class mod p*d under H mod d, the blocks in order
-        of first member, every member a multiple of p in [1, n). All n - 1
-        members are distinct, so blocks are disjoint and strictly ascending.
+        g = n/p and d = gcd(conductor, g), there are phi(d)/|H mod d| blocks
+        (the degree that _fixing_mod keeps) of phi(g) over that many members,
+        each block ascending with its members in one class mod p*d under
+        H mod d, the blocks in order of first member, every member a
+        multiple of p in [1, n). All n - 1 members are distinct, so blocks
+        are disjoint and strictly ascending.
 
         This forces gcd(x, n) = p over p, by descent from the largest proper
         divisor: if the blocks over each proper multiple q of p fill the
@@ -191,12 +192,11 @@ def _check(n: int, field: AbelianField, groups) -> None:
         raise ValueError(f"block labels are not the proper divisors of {n}, ascending")
     seen = set()
     for p, sizes, flat in groups:
-        g = n // p
-        d, reduced = _fixing_mod(field, g)
-        h = _euler_phi(g) * len(reduced) // _euler_phi(d)
+        d, reduced, count = _fixing_mod(field, n // p)
+        h = _euler_phi(n // p) // count
         if {size for size, _ in sizes} != {h}:
             raise ValueError(f"blocks over divisor {p} are not all of size {h}")
-        if sum(k for _, k in sizes) != _euler_phi(g) // h:
+        if sum(k for _, k in sizes) != count:
             raise ValueError(f"wrong number of blocks over divisor {p}")
         if h > 1:  # a single member is ascending and in its own class
             pd = p * d
@@ -239,7 +239,7 @@ def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
     groups = []
     for p in _proper_divisors(n):
         g = n // p
-        d, reduced = _fixing_mod(field, g)
+        d, reduced, _ = _fixing_mod(field, g)
         unit = _coprime_flags(g, primes)
         classes = _classes(d, p, reduced, unit if d == g else _coprime_flags(d, primes))
         if d < g:
@@ -290,15 +290,8 @@ def _classes(d: int, p: int, reduced, unit) -> list[list[int]]:
 
 def r_count(n: int, field: AbelianField) -> int:
     """Total number of blocks: the sum over proper divisors p of the degree
-    of the field's meet with Q(zeta_(n/p)), which is phi(d) over the size
-    of the fixing subgroup reduced mod d = gcd(conductor, n/p)."""
+    of the field's meet with Q(zeta_(n/p)), which _fixing_mod keeps."""
     if n < 2:
         raise DegenerateOrder(f"r_count needs n >= 2, got {n}")
     limits.check_modulus(n)
-    total = 0
-    for p in _proper_divisors(n):
-        d, reduced = _fixing_mod(field, n // p)
-        q, rem = divmod(_euler_phi(d), len(reduced))
-        assert rem == 0
-        total += q
-    return total
+    return sum(_fixing_mod(field, n // p)[2] for p in _proper_divisors(n))

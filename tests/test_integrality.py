@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from circint import (
     field_rationals,
     is_gauss_integral,
     is_integral,
+    oracle_is_integral,
     orbit_partition,
     verdict_to_json,
 )
@@ -40,6 +42,29 @@ def test_circulant_spec_validation():
         CirculantSpec(6, (2, 1))
     with pytest.raises(DegenerateOrder):
         CirculantSpec.of(1, [])
+
+
+@pytest.mark.parametrize("members", [(1.5,), (1.0, 5.0), (Fraction(1), 5), (2, Fraction(3, 2)), (5.0, 7), ("3",),
+                                     (2, "3"), (1, 1.0), (1.0, 1)])
+def test_circulant_spec_rejects_members_that_are_not_integers(members):
+    # the float and Fraction sets are strictly increasing inside [1, 8): the bounds-and-order test passes them
+    for build in (CirculantSpec, CirculantSpec.of):
+        with pytest.raises(InvalidSet, match="is not an integer"):
+            build(8, members)
+
+
+def test_numpy_integer_members_decide_as_ints():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(4)
+    for field in PRESETS:
+        for n in (8, 12, 30):
+            for _ in range(20):
+                members = sorted(rng.sample(range(1, n), rng.randrange(1, n)))
+                plain = CirculantSpec(n, tuple(members))
+                wide = CirculantSpec(n, tuple(map(np.int64, members)))
+                assert CirculantSpec.of(n, map(np.int64, members)) == wide
+                assert is_integral(wide, field) == is_integral(plain, field)
+                assert oracle_is_integral(wide, field) == oracle_is_integral(plain, field)
 
 
 def loop_validated(order, connection_set):

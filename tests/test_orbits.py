@@ -99,11 +99,16 @@ def test_r_count_examples():
 
 def test_r_count_matches_block_count():
     # custom fields with a non-cyclic or non-quadratic fixing subgroup check
-    # the image-mod-gcd count against the listed orbits
+    # the image-mod-gcd count against the listed orbits; the degree that
+    # _fixing_mod keeps at each g is checked against the index of the listed
+    # Galois subgroup at g
     extra = [parse_field(s) for s in ("cyclo:12", "custom:15:2", "custom:21:4,5", "custom:40:9,11")]
     for field in PRESETS + extra:
         for n in range(2, 90):
             assert r_count(n, field) == len(orbit_partition(n, field).blocks)
+            for g in sympy.divisors(n)[1:]:
+                index = euler_phi(g) // len(galois_subgroup_mod(field, g))
+                assert circint.fields._fixing_mod(field, g)[2] == index, (field, n, g)
 
 
 def test_locate():
@@ -483,7 +488,7 @@ def per_member_validate(part):
         raise ValueError("blocks do not cover 1..n-1")
     for p, found in by_divisor.items():
         g = n // p
-        d, reduced = circint.fields._fixing_mod(part.field, g)
+        d, reduced, _ = circint.fields._fixing_mod(part.field, g)
         h = euler_phi(g) * len(reduced) // euler_phi(d)
         if {len(ms) for ms in found} != {h}:
             raise ValueError(f"blocks over divisor {p} are not all of size {h}")
