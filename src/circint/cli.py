@@ -35,6 +35,7 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 SPECTRUM_CHUNK = 64  # rows per write
+ENUM_BATCH = 1 << 16  # bytes of enumerate lines per write, at least
 
 
 def _dumps(doc) -> str:
@@ -142,14 +143,17 @@ def _cmd_enumerate(args) -> int:
     index_text = list(map(str, range(len(blocks))))
     head = f'{{"n":{n},"S":['
     middle = f'],"field":{_dumps(field.describe())},"integral":true,"blocks":['
-    write = sys.stdout.write
-    emitted = 0
+    # lines go out about ENUM_BATCH bytes at a time: an unbuffered stdout makes each write one system call
+    write, batch, size, emitted = sys.stdout.write, [], 0, 0
     for covered, members in sets:
-        write(head + ",".join(map(text.__getitem__, members)) + middle + ",".join(map(index_text.__getitem__, covered))
-              + '],"violation":null}\n')
-        emitted += 1
+        batch.append(head + ",".join(map(text.__getitem__, members)) + middle
+                     + ",".join(map(index_text.__getitem__, covered)) + '],"violation":null}\n')
+        size += len(batch[-1])
+        if size >= ENUM_BATCH:
+            write("".join(batch))
+            emitted, batch, size = emitted + len(batch), [], 0
     # str(Decimal(2^r)) is exact, and free of the 4300-digit limit on str(int) past r = 14284
-    print(f'{{"count":{emitted},"total":{Decimal(total)}}}')
+    write("".join(batch) + f'{{"count":{emitted + len(batch)},"total":{Decimal(total)}}}\n')
     return EXIT_OK
 
 

@@ -8,13 +8,13 @@ distinct connection sets, with no identification of isomorphic digraphs.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from operator import index, lt
 
 from . import limits
 from .errors import DegenerateOrder, InvalidSet, TooManyOrbits
 from .fields import AbelianField, field_gaussian
-from .orbits import _partition_cached, orbit_partition, r_count
+from .orbits import _integer_order, _partition_cached, orbit_partition, r_count
 from .records import Record
 
 
@@ -24,11 +24,12 @@ class CirculantSpec(Record):
     _fields = ("order", "connection_set")
 
     def __post_init__(self):
-        if self.order < 2:
-            raise DegenerateOrder(f"need at least 2 vertices, got {self.order}")
+        n = self.__dict__["order"] = _integer_order(self.order)  # a numpy integer becomes an int
+        if n < 2:
+            raise DegenerateOrder(f"need at least 2 vertices, got {n}")
         c = self.connection_set
         try:  # strictly increasing integers inside [1, n): one pass at C speed
-            if not c or (c[0] >= 1 and index(c[-1]) < self.order and all(map(lt, map(index, c), c[1:]))):
+            if not c or (c[0] >= 1 and index(c[-1]) < n and all(map(lt, map(index, c), c[1:]))):
                 return
         except TypeError:  # a member that is not an integer, named below
             pass
@@ -99,11 +100,26 @@ def _integral_sets(n: int, field: AbelianField, limit: int | None):
     cap = limits.enum_budget()
     if limit is None and total > cap:
         raise TooManyOrbits(f"2^{r} sets exceeds budget {cap}; pass a limit (--limit) or raise {limits.ENV_ENUM}")
-    masks = range(total if limit is None else min(total, limit))
+    stop = total if limit is None else min(total, limit)
     # the last mask is the largest, so no mask reaches a block past its top bit
-    blocks = [ms for _, ms in islice(part.slices(), max(masks.stop - 1, 0).bit_length())]
-    covers = ([i for i in range(mask.bit_length()) if mask >> i & 1] for mask in masks)
-    return blocks, ((c, sorted(chain.from_iterable(map(blocks.__getitem__, c)))) for c in covers)
+    blocks = [ms.tolist() for _, ms in islice(part.slices(), max(stop - 1, 0).bit_length())]
+    return blocks, _walk(blocks, stop)
+
+
+def _walk(blocks: list, stop: int):
+    """(covered block indices, sorted members) of masks 0, ..., stop - 1. Mask k is block t, its lowest
+    set bit, over k less bit t: the latest mask with that one's lowest set bit, whose set is kept. So a
+    set is one merge of two ascending runs. Later sets share the lists yielded: never change them."""
+    last = [None] * len(blocks) + [([], [])]  # the latest set by lowest set bit; mask 0's at -1
+    for k in range(stop):
+        rest = k & (k - 1)
+        covered, members = last[(rest & -rest).bit_length() - 1]
+        if k:
+            t = (k ^ rest).bit_length() - 1
+            merged = blocks[t] + members
+            merged.sort()  # Timsort merges the two runs
+            covered, members = last[t] = [t] + covered, merged
+        yield covered, members
 
 
 def enumerate_integral(n: int, field: AbelianField, limit: int | None = None):

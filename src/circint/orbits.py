@@ -30,10 +30,10 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import accumulate, chain, compress, filterfalse, groupby, repeat
-from operator import itemgetter, lt, mod
+from operator import index as as_int, itemgetter, lt, mod
 
 from . import limits
-from .errors import DegenerateOrder, OutOfRange
+from .errors import DegenerateInput, DegenerateOrder, OutOfRange
 from .fields import AbelianField, _fixing_mod
 from .records import Record
 from .residues import _euler_phi, _prime_factors, _proper_divisors
@@ -81,19 +81,19 @@ class OrbitPartition(Record):
                 start += h
 
     @cached_property
-    def _lookup(self) -> tuple[array, array]:
-        """(starts, index): block i is members[starts[i]:starts[i + 1]], and block index[x] holds
-        x, or _NOWHERE where none does; built in one walk on first use, never by a build."""
-        starts, index = array("I", [0]), array("I", b"\xff" * (4 * self.order))
+    def _lookup(self) -> tuple[array, array, array]:
+        """(starts, index, sizes): block i is members[starts[i]:starts[i + 1]], sizes[i] long, and block
+        index[x] holds x, or _NOWHERE where none does; built in one walk on first use, never by a build."""
+        sizes = array("I", chain.from_iterable(repeat(h, k) for _, h, k in self.runs))
+        starts, index, first = array("I", accumulate(sizes, initial=0)), array("I", b"\xff" * (4 * self.order)), 0
         try:
             for p, h, k in self.runs:
-                first, start = len(starts) - 1, starts[-1]
-                for j, x in enumerate(self.members[start:start + h * k]):
+                for j, x in enumerate(self.members[starts[first]:starts[first + k]]):
                     index[x] = first + j // h
-                starts.extend(accumulate(repeat(h, k - 1), initial=start + h))
+                first += k
         except IndexError:  # only from_blocks holds a member past n - 1
             raise ValueError(f"a block over divisor {p} leaves [1, {self.order})") from None
-        return starts, index
+        return starts, index, sizes
 
     def block(self, i: int) -> array:
         """The members of block i."""
@@ -132,22 +132,34 @@ class OrbitPartition(Record):
         """cover for a CirculantSpec's connection set, in range and without
         repeats by construction: the checks' passes over S would double the
         cost of a call."""
-        starts, index = self._lookup
-        # one C-level gather; itemgetter returns a bare item for a single key
-        ids = itemgetter(*members)(index) if len(members) > 1 else [index[x] for x in members]
-        touched = sorted(set(ids))
         try:
-            if sum([starts[i + 1] - starts[i] for i in touched]) == len(members):
-                return tuple(touched), None
-        except IndexError:  # touched ends in _NOWHERE
+            touched, union = self._union(members)
+        except IndexError:  # S holds a residue that no block holds
+            index = self._lookup[1]
             raise ValueError(f"no block holds {min(x for x in members if index[x] == self._NOWHERE)}") from None
-        inside = set(members).__contains__
-        for i in touched:
+        if union:
+            return tuple(sorted(touched)), None
+        starts, inside = self._lookup[0], set(members).__contains__
+        for i in sorted(touched):
             block = self.members[starts[i]:starts[i + 1]].tolist()
             present = tuple(filter(inside, block))
             if len(present) < len(block):
                 return None, (i, tuple(filterfalse(inside, block)), present)
         raise ValueError("the blocks that S touches overlap or repeat a member")
+
+    def _union(self, members) -> tuple[set, bool]:
+        """(the blocks that S touches, whether they hold |S| members): on blocks that tile [1, n), whether
+        S, distinct residues in [1, n), is a union of blocks. A residue no block holds raises IndexError."""
+        _, index, sizes = self._lookup
+        # one C-level gather; itemgetter returns a bare item for a single key
+        touched = set(itemgetter(*members)(index)) if len(members) > 1 else {index[x] for x in members}
+        return touched, sum(map(sizes.__getitem__, touched)) == len(members)
+
+    def _check_tiling(self) -> None:
+        """Raise ValueError unless the blocks tile [1, n): n - 1 members hold
+        every residue of [1, n). Then _union alone decides every S."""
+        if len(self.members) != self.order - 1 or self._lookup[1][1:].count(self._NOWHERE):
+            raise ValueError(f"the blocks overlap, repeat a member or leave one of [1, {self.order}) out")
 
     def to_json(self) -> dict:
         return {
@@ -221,12 +233,21 @@ def _check(n: int, field: AbelianField, groups) -> None:
         raise ValueError("blocks overlap or do not cover 1..n-1")
 
 
+def _integer_order(n) -> int:
+    """n as an int, if operator.index takes it; else DegenerateInput naming it."""
+    try:
+        return as_int(n)
+    except TypeError:
+        raise DegenerateInput(f"order {n!r} is not an integer") from None
+
+
 def orbit_partition(n: int, field: AbelianField) -> OrbitPartition:
     """Build the orbit partition of {1, ..., n-1} for (n, field).
 
     The single-vertex loopless digraph (n = 1) is integral over every
     field; partitions start at n = 2.
     """
+    n = _integer_order(n)
     if n < 2:
         raise DegenerateOrder(f"orbit partition needs n >= 2, got {n}")
     limits.check_modulus(n)
@@ -291,6 +312,7 @@ def _classes(d: int, p: int, reduced, unit) -> list[list[int]]:
 def r_count(n: int, field: AbelianField) -> int:
     """Total number of blocks: the sum over proper divisors p of the degree
     of the field's meet with Q(zeta_(n/p)), which _fixing_mod keeps."""
+    n = _integer_order(n)
     if n < 2:
         raise DegenerateOrder(f"r_count needs n >= 2, got {n}")
     limits.check_modulus(n)

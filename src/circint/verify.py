@@ -100,11 +100,13 @@ def cross_verify(n: int, field: AbelianField, *, samples: int | None = None,
     samples=None sweeps all 2^(n-1) subsets (n capped by the exhaustive
     bound); otherwise that many seeded random subsets are drawn. Mismatch
     entries record the subset with the oracle verdict as expected value,
-    sorted by subset.
+    sorted by subset. Blocks that do not tile [1, n) raise ValueError
+    before the first subset.
     """
     def decider():
         part = orbit_partition(n, field)
-        return lambda members: part._cover(members)[1] is None
+        part._check_tiling()  # then the sizes of the blocks S touches decide S, with no witness built
+        return lambda members: part._union(members)[1]
 
     return _sweep(n, field, samples, seed, None, decider)
 

@@ -220,6 +220,23 @@ def test_enumerate_writes_from_one_walk_and_checks_no_set(capsys, monkeypatch):
     assert checks == [] and len(walks) == 1
 
 
+def test_enumerate_writes_lines_in_batches(capsys):
+    # under PYTHONUNBUFFERED=1 every write is one system call: the lines go out about 64 KiB at a time
+    writes = []
+
+    class Counting(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    sink = Counting()
+    with redirect_stdout(sink):
+        code = main(["enumerate", "200", "--field", "Qi", "--limit", "2400"])
+    out = sink.getvalue()
+    assert code == 0 and len(out.splitlines()) == 2401 and sum(writes) == len(out)
+    assert len(writes) <= -(-len(out) // 65536) + 2
+
+
 def test_enumerate_prints_totals_past_the_int_digit_limit(capsys):
     # over cyclo:14401 every residue is its own block, so the total 2^14400
     # has 4,335 digits, past the int-to-str limit of Python >= 3.10.7

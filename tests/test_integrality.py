@@ -1,11 +1,14 @@
 import random
+import re
 from fractions import Fraction
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circint import (
     CirculantSpec,
+    DegenerateInput,
     DegenerateOrder,
     InvalidSet,
     TooManyOrbits,
@@ -19,8 +22,12 @@ from circint import (
     is_integral,
     oracle_is_integral,
     orbit_partition,
+    parse_field,
+    r_count,
     verdict_to_json,
 )
+from circint.integrality import _integral_sets
+from circint.oracle import _divisor_gathers
 from circint.orbits import _partition_cached
 
 PRESETS = [
@@ -65,6 +72,37 @@ def test_numpy_integer_members_decide_as_ints():
                 assert CirculantSpec.of(n, map(np.int64, members)) == wide
                 assert is_integral(wide, field) == is_integral(plain, field)
                 assert oracle_is_integral(wide, field) == oracle_is_integral(plain, field)
+
+
+@pytest.mark.parametrize("order", [8.0, "8", Fraction(8), None])
+def test_orders_that_are_not_integers_are_refused_by_name(order):
+    # 8.0 used to construct, and the lookups then raised a bare TypeError
+    field = field_rationals()
+    for call in (lambda: CirculantSpec(order, (1,)), lambda: CirculantSpec.of(order, [1]),
+                 lambda: orbit_partition(order, field), lambda: r_count(order, field)):
+        with pytest.raises(DegenerateInput, match=f"^order {re.escape(repr(order))} is not an integer$"):
+            call()
+
+
+def test_bool_and_numpy_integer_orders_behave_as_ints():
+    # a numpy order used to work only where an int order had filled the caches first: built cold,
+    # the Galois subgroup's inverse check raised a bare TypeError from pow with a numpy modulus
+    np = pytest.importorskip("numpy")
+    for order in (True, False, np.int64(1)):
+        with pytest.raises(DegenerateOrder):
+            CirculantSpec(order, ())
+        with pytest.raises(DegenerateOrder):
+            orbit_partition(order, field_rationals())
+    _partition_cached.cache_clear()
+    _divisor_gathers.cache_clear()
+    wide = CirculantSpec(np.int64(36), (1, 5, 7, 11))
+    assert type(wide.order) is int and wide == CirculantSpec(36, (1, 5, 7, 11))
+    for spec in ("Q", "Qi", "sqrt:-3", "cyclo:12"):
+        cold, warm = parse_field(spec), parse_field(spec)  # a field keeps its reductions
+        assert r_count(np.int64(36), cold) == r_count(36, warm)
+        assert orbit_partition(np.int64(36), cold) == orbit_partition(36, warm)
+        assert is_integral(wide, cold) == is_integral(CirculantSpec(36, (1, 5, 7, 11)), warm)
+        assert oracle_is_integral(wide, cold) == oracle_is_integral(CirculantSpec(36, (1, 5, 7, 11)), warm)
 
 
 def loop_validated(order, connection_set):
@@ -182,6 +220,34 @@ def test_enumerate_reads_blocks_without_the_lookup(n, field):
                     for mask in range(limit)]
         assert [s.connection_set for s in enumerate_integral(n, field, limit=limit)] == expected
     assert "_lookup" not in part.__dict__
+
+
+def sorted_walk(n, field, stop):
+    """Reference: the walk with a sort per set, each mask's blocks gathered
+    and sorted."""
+    blocks = [ms for _, ms in islice(orbit_partition(n, field).slices(), max(stop - 1, 0).bit_length())]
+    covers = ([i for i in range(mask.bit_length()) if mask >> i & 1] for mask in range(stop))
+    return [(c, sorted(chain.from_iterable(map(blocks.__getitem__, c)))) for c in covers]
+
+
+# the fields of test_orbits.KEYED_BUILD_FIELDS
+KEYED_BUILD_FIELDS = ["Q", "Qi", "sqrt:2", "sqrt:-3", "sqrt:5", "sqrt:-7", "sqrt:-5", "cyclo:3", "cyclo:5",
+                      "cyclo:8", "cyclo:12", "custom:13:5", "custom:16:7", "custom:21:4"]
+
+
+@pytest.mark.parametrize("spec", KEYED_BUILD_FIELDS)
+def test_walk_merges_what_a_sort_per_set_gives(spec):
+    # each set is the merge of one block with a set kept from an earlier mask; limits around each
+    # power of two end the walk just before and after a new top block, and the full count ends it at
+    # the last block (counts past 2^12, up to 2^23 over cyclo:8, are walked to 2^12 + 1)
+    field = parse_field(spec)
+    for n in range(2, 60):
+        total = count_integral(n, field)
+        stop = min(total, (1 << 12) + 1)
+        expected = sorted_walk(n, field, stop)
+        ends = {0, 1, 2, stop} | {(1 << k) + e for k in range(1, stop.bit_length()) for e in (-1, 1)}
+        for limit in sorted(ends):
+            assert list(_integral_sets(n, field, limit)[1]) == expected[:limit], (n, limit)
 
 
 def test_count_integral():

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -422,6 +423,20 @@ def test_keyed_build_matches_multiplied_orbits(spec):
     field = parse_field(spec)
     for n in range(2, 300):
         assert blocks_as_tuples(orbit_partition(n, field)) == multiplication_partition(n, field), (spec, n)
+
+
+@pytest.mark.parametrize("spec", KEYED_BUILD_FIELDS)
+def test_union_test_agrees_with_cover(spec):
+    # the sweep's yes/no block test, on built partitions, which tile [1, n), against cover's witness
+    field = parse_field(spec)
+    for n in range(2, 13):
+        part = orbit_partition(n, field)
+        part._check_tiling()
+        for k in range(n):
+            for members in combinations(range(1, n), k):
+                touched, union = part._union(members)
+                assert touched == set(map(part.locate, members))
+                assert union == (part.cover(members)[1] is None), (n, members)
 
 
 @pytest.mark.parametrize("spec,n", [(spec, n) for spec in ("Q", "Qi", "sqrt:-7") for n in (65536, 83160, 99991)]

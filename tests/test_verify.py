@@ -309,6 +309,37 @@ def test_exhaustive_mismatches_do_not_depend_on_the_sweep_order(monkeypatch, n, 
     assert count is None or len(rep.mismatches) == count
 
 
+def duplicated(blocks):
+    return blocks[:1] + blocks
+
+
+def sharing(blocks):
+    (p, first), (q, second) = blocks[:2]
+    return [(p, first), (q, first[:1] + second)] + blocks[2:]
+
+
+def dropping(blocks):
+    (p, first), *rest = blocks
+    return [(p, first[1:])] + rest
+
+
+@pytest.mark.parametrize("edit", [duplicated, sharing, dropping])
+@pytest.mark.parametrize("samples", [None, 5])
+def test_cross_verify_refuses_untiled_blocks_before_any_set(monkeypatch, edit, samples):
+    # a duplicated block passed every set, and a block sharing a member was refused partway through the
+    # sweep; the sweep's block side decides S from the sizes of the blocks it touches, so blocks that do
+    # not tile [1, n) are refused once, before the first set
+    field = field_gaussian()
+    blocks = [(p, ms.tolist()) for p, ms in orbit_partition(12, field).slices()]
+    part = OrbitPartition.from_blocks(12, field, edit(blocks))
+    decided = []
+    monkeypatch.setattr(circint.verify, "orbit_partition", lambda n, k: part)
+    monkeypatch.setattr(circint.verify, "_decide", lambda *args: decided.append(args) or True)
+    with pytest.raises(ValueError, match=r"^the blocks overlap, repeat a member or leave one of \[1, 12\) out$"):
+        cross_verify(12, field, samples=samples)
+    assert decided == []
+
+
 @pytest.mark.parametrize("first, bad", [((1, 5, 13, 24), 24), ((0, 1, 5, 13, 17), 0), ((1, 30, 5, 0), 30)])
 def test_lemma1_names_the_first_member_out_of_range(monkeypatch, first, bad):
     field = field_gaussian()
