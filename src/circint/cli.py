@@ -42,6 +42,11 @@ def _dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _write_lines(lines) -> None:
+    """One write of the lines: under PYTHONUNBUFFERED=1 each write call is one system call."""
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
 def _sig(x: float) -> float:
     """Round to 12 significant digits for platform-stable JSON; magnitudes
     below 1e-12 are rounding noise of an exact zero and print as 0."""
@@ -93,10 +98,9 @@ def _cmd_partition(args) -> int:
     field = parse_field(args.field)
     part = orbit_partition(args.n, field)
     if args.format == "table":
-        print(f"n={part.order}\tfield={field.describe()}\tblocks={part.block_count}")
-        print("index\tp\tmembers")
-        for i, (p, members) in enumerate(part.slices()):
-            print(f"{i}\t{p}\t{','.join(map(str, members))}")
+        lines = [f"n={part.order}\tfield={field.describe()}\tblocks={part.block_count}", "index\tp\tmembers"]
+        lines += (f"{i}\t{p}\t{','.join(map(str, members))}" for i, (p, members) in enumerate(part.slices()))
+        _write_lines(lines)
     else:
         print(_dumps(part.to_json()))
     return EXIT_OK
@@ -110,15 +114,14 @@ def _cmd_check(args) -> int:
     spec = CirculantSpec.of(args.n, members)
     verdict = is_integral(spec, field)
     if args.format == "table":
-        print(f"n={spec.order}\tfield={field.describe()}\tS={','.join(map(str, spec.connection_set))}")
+        lines = [f"n={spec.order}\tfield={field.describe()}\tS={','.join(map(str, spec.connection_set))}"]
         if verdict.integral:
-            print("integral: yes")
-            print(f"blocks: {','.join(map(str, verdict.block_indices))}")
+            lines += ["integral: yes", f"blocks: {','.join(map(str, verdict.block_indices))}"]
         else:
             v = verdict.violation
-            print("integral: no")
-            print(f"block {v.block_index} missing {','.join(map(str, v.missing))} "
-                  f"present {','.join(map(str, v.present))}")
+            lines += ["integral: no", f"block {v.block_index} missing {','.join(map(str, v.missing))} "
+                                      f"present {','.join(map(str, v.present))}"]
+        _write_lines(lines)
     else:
         print(_dumps(verdict_to_json(spec, field, verdict)))
     return EXIT_OK if verdict.integral else EXIT_NEGATIVE

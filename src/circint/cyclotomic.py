@@ -25,10 +25,11 @@ class CyclotomicInteger(Record):
     _fields = ("order", "coefficients")
 
     def __post_init__(self):
-        if self.order < 1:
-            raise DegenerateOrder(f"order must be positive, got {self.order}")
-        if len(self.coefficients) != self.order:
-            raise ValueError(f"need exactly {self.order} coefficients, got {len(self.coefficients)}")
+        n = self.__dict__["order"] = limits.integer(self.order, "order")  # a numpy order becomes an int
+        if n < 1:
+            raise DegenerateOrder(f"order must be positive, got {n}")
+        if len(self.coefficients) != n:
+            raise ValueError(f"need exactly {n} coefficients, got {len(self.coefficients)}")
 
 
 @limits.Memo  # at most n + 1 coefficients; read by _reduce (spectrum --exact), cyclotomic_polynomial
@@ -66,10 +67,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     with Phi_rad a sparse product of binomials (1 - x^d)^mu(rad/d) over the
     divisors d of rad; monic of degree phi(n).
     """
-    if n < 1:
-        raise DegenerateOrder(f"cyclotomic polynomial needs n >= 1, got {n}")
-    limits.check_modulus(n)
-    return _cyclotomic(n)
+    return _cyclotomic(limits.checked(n, 1, "order"))
 
 
 def _reduce(n: int, coeffs) -> tuple[int, ...]:
@@ -140,6 +138,7 @@ def _coset_plan(n: int) -> tuple[tuple[int, ...], ...]:
 def eigenvalue(n: int, connection_set, r: int) -> CyclotomicInteger:
     """Adjacency eigenvalue of the circulant digraph D(n, S) at frequency
     r: the sum of zeta_n^{r*s} over s in the connection set."""
+    n = limits.integer(n, "order")
     if not 0 <= r < n:
         raise OutOfRange(f"frequency {r} outside [0, {n})")
     out = [0] * n

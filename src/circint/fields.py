@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd, prod
 
 from . import limits
-from .errors import BothZero, DegenerateInput, DegenerateOrder, FieldSpecError, LimitExceeded, NotSquarefree
+from .errors import BothZero, DegenerateInput, FieldSpecError, LimitExceeded, NotSquarefree
 from .records import Record
 from .residues import UnitSubgroup, _euler_phi, _prime_factors, euler_phi, subgroup_closure
 
@@ -67,9 +67,7 @@ def field_gaussian() -> AbelianField:
 
 
 def field_cyclotomic(m: int) -> AbelianField:
-    if m < 1:
-        raise DegenerateOrder(f"cyclotomic field needs m >= 1, got {m}")
-    limits.check_modulus(m)
+    m = limits.checked(m, 1, "modulus")
     return AbelianField(m, UnitSubgroup(m, (1 % m,)), label=f"cyclo:{m}")
 
 
@@ -81,6 +79,7 @@ def field_quadratic(d: int) -> AbelianField:
     character on the units modulo the conductor. The conductor bound is
     checked before the squarefree test, which is trial division.
     """
+    d = limits.integer(d, "radicand")
     if d in (0, 1):
         raise DegenerateInput(f"no quadratic field for d = {d}")
     disc = d if d % 4 == 1 else 4 * d
@@ -105,10 +104,8 @@ def kronecker_symbol(a: int, b: int) -> int:
         b = -b
         if a < 0:
             result = -result
-    twos = 0
-    while b % 2 == 0:
-        b //= 2
-        twos += 1
+    twos = (b & -b).bit_length() - 1  # the power of 2 in b
+    b >>= twos
     if twos:
         if a % 2 == 0:
             return 0
@@ -137,10 +134,7 @@ def galois_subgroup_mod(field: AbelianField, g: int) -> UnitSubgroup:
     subgroup. The index of the result in the full unit group mod g is the
     degree of the intersection field over the rationals.
     """
-    if g < 1:
-        raise DegenerateOrder(f"galois_subgroup_mod needs g >= 1, got {g}")
-    limits.check_modulus(g)
-    return _galois_subgroup(field, g)
+    return _galois_subgroup(field, limits.checked(g, 1, "modulus"))
 
 
 def _galois_subgroup(field: AbelianField, g: int) -> UnitSubgroup:
@@ -190,8 +184,7 @@ def parse_field(text: str) -> AbelianField:
             if m < 1:
                 raise FieldSpecError(f"modulus must be positive in {text!r}")
             gens = [_spec_int(x, t) for x in parts[2].split(",") if x.strip() != ""]
-            subgroup = subgroup_closure(m, gens)
-            return AbelianField(m, subgroup, label=t)
+            return AbelianField(m, subgroup_closure(m, gens), label=t)
     except LimitExceeded as exc:  # name the spec whose conductor is over the bound
         raise LimitExceeded(f"{exc} (conductor of {t})") from None
     raise FieldSpecError(f"unrecognized field spec {text!r}")

@@ -14,7 +14,7 @@ from operator import index, lt
 from . import limits
 from .errors import DegenerateOrder, InvalidSet, TooManyOrbits
 from .fields import AbelianField, field_gaussian
-from .orbits import _integer_order, _partition_cached, orbit_partition, r_count
+from .orbits import _partition_cached, orbit_partition, r_count
 from .records import Record
 
 
@@ -24,7 +24,7 @@ class CirculantSpec(Record):
     _fields = ("order", "connection_set")
 
     def __post_init__(self):
-        n = self.__dict__["order"] = _integer_order(self.order)  # a numpy integer becomes an int
+        n = self.__dict__["order"] = limits.integer(self.order, "order")  # a numpy integer becomes an int
         if n < 2:
             raise DegenerateOrder(f"need at least 2 vertices, got {n}")
         c = self.connection_set
@@ -92,7 +92,7 @@ def count_integral(n: int, field: AbelianField) -> int:
 def _integral_sets(n: int, field: AbelianField, limit: int | None):
     """(the blocks the masks reach, a stream of (covered block indices,
     sorted members) in counter order); the checks and the walk run on call."""
-    if limit is not None and limit < 0:
+    if limit is not None and (limit := limits.integer(limit, "limit")) < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     part = orbit_partition(n, field)
     r = part.block_count

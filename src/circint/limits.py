@@ -1,12 +1,11 @@
-"""Resource guards.
+"""Resource guards, and the one check of an integer that a caller passes.
 
-Desk-scale inputs are the design point; anything larger is refused loudly
-with LimitExceeded instead of grinding or overflowing silently. Bounds are
-resolved here, at call time, from the defaults below or the environment
-overrides, and are checked only on quantities a caller supplies: an order
-n, a field's conductor, a modulus g.
-
-The per-order caches are bounded here too, by what they hold: see Memo.
+checked(n, least, name) is the boundary of every public call that takes an
+order, a modulus or a conductor: n as an int if operator.index takes it, as
+it takes numpy integers (else DegenerateInput), n >= least (else
+DegenerateOrder) and n inside the modulus bound (else LimitExceeded);
+integer(x, name) only converts. Bounds are read at call time from the
+defaults below or the environment overrides. Memo bounds the caches.
 """
 
 from __future__ import annotations
@@ -15,8 +14,9 @@ import functools
 import itertools
 import os
 import threading
+from operator import index
 
-from .errors import CircError, LimitExceeded
+from .errors import CircError, DegenerateInput, DegenerateOrder, LimitExceeded
 
 MODULUS_LIMIT = 100_000
 EXACT_ORDER_LIMIT = 10_000
@@ -30,6 +30,22 @@ MEMO_RESIDUES = 1 << 19
 
 ENV_MODULUS = "CIRC_LIMIT_MODULUS"
 ENV_ENUM = "CIRC_LIMIT_ENUM"
+
+
+def integer(x, name: str) -> int:
+    """x as an int; DegenerateInput, naming it, if operator.index does not take it."""
+    try:
+        return index(x)
+    except TypeError:
+        raise DegenerateInput(f"{name} {x!r} is not an integer") from None
+
+
+def checked(n, least: int, name: str) -> int:
+    """integer(n, name), once n >= least and n is inside the modulus bound."""
+    if (n := integer(n, name)) < least:
+        raise DegenerateOrder(f"{name} needs n >= {least}, got {n}")
+    check_modulus(n)
+    return n
 
 
 def check_modulus(n: int) -> None:
@@ -57,8 +73,7 @@ def enum_budget() -> int:
 
 def _env_limit(name: str) -> int | None:
     """Read an integer override from the environment; None when unset."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
+    if not (raw := os.environ.get(name)):
         return None
     try:
         value = int(raw)

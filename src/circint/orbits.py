@@ -30,10 +30,10 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import accumulate, chain, compress, filterfalse, groupby, repeat
-from operator import index as as_int, itemgetter, lt, mod
+from operator import itemgetter, lt, mod
 
 from . import limits
-from .errors import DegenerateInput, DegenerateOrder, OutOfRange
+from .errors import OutOfRange
 from .fields import AbelianField, _fixing_mod
 from .records import Record
 from .residues import _euler_phi, _prime_factors, _proper_divisors
@@ -233,25 +233,13 @@ def _check(n: int, field: AbelianField, groups) -> None:
         raise ValueError("blocks overlap or do not cover 1..n-1")
 
 
-def _integer_order(n) -> int:
-    """n as an int, if operator.index takes it; else DegenerateInput naming it."""
-    try:
-        return as_int(n)
-    except TypeError:
-        raise DegenerateInput(f"order {n!r} is not an integer") from None
-
-
 def orbit_partition(n: int, field: AbelianField) -> OrbitPartition:
     """Build the orbit partition of {1, ..., n-1} for (n, field).
 
     The single-vertex loopless digraph (n = 1) is integral over every
     field; partitions start at n = 2.
     """
-    n = _integer_order(n)
-    if n < 2:
-        raise DegenerateOrder(f"orbit partition needs n >= 2, got {n}")
-    limits.check_modulus(n)
-    return _partition_cached(n, field)
+    return _partition_cached(limits.checked(n, 2, "order"), field)
 
 
 @limits.Memo  # about 4.3 bytes per residue, 0.43 MB near n = 10^5
@@ -312,8 +300,5 @@ def _classes(d: int, p: int, reduced, unit) -> list[list[int]]:
 def r_count(n: int, field: AbelianField) -> int:
     """Total number of blocks: the sum over proper divisors p of the degree
     of the field's meet with Q(zeta_(n/p)), which _fixing_mod keeps."""
-    n = _integer_order(n)
-    if n < 2:
-        raise DegenerateOrder(f"r_count needs n >= 2, got {n}")
-    limits.check_modulus(n)
+    n = limits.checked(n, 2, "order")
     return sum(_fixing_mod(field, n // p)[2] for p in _proper_divisors(n))

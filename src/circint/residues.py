@@ -26,7 +26,7 @@ class UnitSubgroup(Record):
     _fields = ("modulus", "elements")
 
     def __post_init__(self):
-        g = self.modulus
+        g = self.__dict__["modulus"] = limits.integer(self.modulus, "modulus")  # a numpy modulus becomes an int
         if g < 1:
             raise DegenerateOrder(f"modulus must be positive, got {g}")
         els = self.elements
@@ -59,10 +59,7 @@ class UnitSubgroup(Record):
 
 def euler_phi(n: int) -> int:
     """Order of the unit group modulo n; phi(1) = 1."""
-    if n < 1:
-        raise DegenerateOrder(f"euler_phi needs n >= 1, got {n}")
-    limits.check_modulus(n)
-    return _euler_phi(n)
+    return _euler_phi(limits.checked(n, 1, "modulus"))
 
 
 def _euler_phi(n: int) -> int:
@@ -90,9 +87,7 @@ def _prime_factors(n: int) -> list[int]:
 def subgroup_closure(n: int, generators) -> UnitSubgroup:
     """Smallest multiplicatively closed subset of the units mod n containing
     1 and every generator."""
-    if n < 1:
-        raise DegenerateOrder(f"subgroup_closure needs n >= 1, got {n}")
-    limits.check_modulus(n)
+    n = limits.checked(n, 1, "modulus")
     gens = []
     for gen in generators:
         r = gen % n
@@ -113,10 +108,7 @@ def subgroup_closure(n: int, generators) -> UnitSubgroup:
 
 def proper_divisors(n: int) -> tuple[int, ...]:
     """All divisors p of n with 1 <= p < n, ascending."""
-    if n < 2:
-        raise DegenerateOrder(f"no proper divisors for n = {n}")
-    limits.check_modulus(n)
-    return _proper_divisors(n)
+    return _proper_divisors(limits.checked(n, 2, "order"))
 
 
 def _proper_divisors(n: int) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from itertools import chain, combinations, repeat
 from math import gcd
 
 from . import limits
-from .errors import DegenerateOrder, OutOfRange, UnsupportedLattice
+from .errors import OutOfRange, UnsupportedLattice
 from .fields import AbelianField, galois_subgroup_mod
 from .integrality import CirculantSpec
 from .oracle import GAUSSIAN_LATTICE, RATIONAL_LATTICE, _decide, _divisor_gathers, _moved, numeric_lattice_check
@@ -55,12 +55,10 @@ class VerificationReport(Record):
 
 
 def _subsets(n: int, samples: int | None, seed: int):
-    if n < 2:
-        raise DegenerateOrder(f"verification needs n >= 2, got {n}")
     if samples is None:
         limits.check_exhaustive(n)
         return chain.from_iterable(combinations(range(1, n), k) for k in range(n)), 1 << (n - 1), "exhaustive", None
-    if samples < 1:
+    if (samples := limits.integer(samples, "samples")) < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = random.Random(seed)
     return (_members(rng.getrandbits(n - 1)) for _ in range(samples)), samples, "sample", seed
@@ -79,7 +77,7 @@ def _sweep(n: int, field: AbelianField, samples: int | None, seed: int, mode: st
     again per set. The report is named ``mode``, or after the sweep itself
     ("exhaustive" or "sample") when that is None."""
     start = time.perf_counter()
-    limits.check_modulus(n)  # before n - 1 random bits are drawn per sample
+    n = limits.checked(n, 2, "order")  # before n - 1 random bits are drawn per sample
     subsets, cases, sweep_mode, used_seed = _subsets(n, samples, seed)
     decide, tables = decider(), _divisor_gathers(n, field)
     mismatches = []
@@ -147,6 +145,7 @@ def lemma1_check(n: int, field: AbelianField) -> VerificationReport:
     supports; only blocks that hold a repeated residue are intersected.
     """
     start = time.perf_counter()
+    n = limits.checked(n, 2, "order")
     part = orbit_partition(n, field)
     tables = _divisor_gathers(n, field)
     (_, fixers, leader_of, orbit_size), mismatches, flat = tables, [], []

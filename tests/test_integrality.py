@@ -8,24 +8,36 @@ from hypothesis import given, settings, strategies as st
 
 from circint import (
     CirculantSpec,
+    CyclotomicInteger,
     DegenerateInput,
     DegenerateOrder,
     InvalidSet,
     TooManyOrbits,
+    UnitSubgroup,
     count_integral,
+    cross_verify,
+    cyclotomic_polynomial,
+    eigenvalue,
     enumerate_integral,
+    euler_phi,
     field_cyclotomic,
     field_gaussian,
     field_quadratic,
     field_rationals,
+    galois_subgroup_mod,
     is_gauss_integral,
     is_integral,
+    lattice_cross_verify,
+    lemma1_check,
     oracle_is_integral,
     orbit_partition,
     parse_field,
+    proper_divisors,
     r_count,
+    subgroup_closure,
     verdict_to_json,
 )
+from circint.cyclotomic import _coset_plan, _cyclotomic
 from circint.integrality import _integral_sets
 from circint.oracle import _divisor_gathers
 from circint.orbits import _partition_cached
@@ -82,6 +94,22 @@ def test_orders_that_are_not_integers_are_refused_by_name(order):
                  lambda: orbit_partition(order, field), lambda: r_count(order, field)):
         with pytest.raises(DegenerateInput, match=f"^order {re.escape(repr(order))} is not an integer$"):
             call()
+    # every other entry point that takes an order, a modulus or a count: 8.0 used to succeed in euler_phi,
+    # proper_divisors and CyclotomicInteger, and to raise a bare TypeError or AttributeError in the rest
+    calls = [("order", lambda: proper_divisors(order)), ("order", lambda: cyclotomic_polynomial(order)),
+             ("order", lambda: CyclotomicInteger(order, (1, 0))), ("order", lambda: eigenvalue(order, (1,), 1)),
+             ("order", lambda: cross_verify(order, field)), ("order", lambda: lattice_cross_verify(order, field)),
+             ("order", lambda: lemma1_check(order, field)), ("order", lambda: count_integral(order, field)),
+             ("order", lambda: enumerate_integral(order, field)), ("modulus", lambda: euler_phi(order)),
+             ("modulus", lambda: subgroup_closure(order, [3])), ("modulus", lambda: galois_subgroup_mod(field, order)),
+             ("modulus", lambda: field_cyclotomic(order)), ("modulus", lambda: UnitSubgroup(order, (1,))),
+             ("radicand", lambda: field_quadratic(order))]
+    if order is not None:  # no limit, and the exhaustive sweep
+        calls += [("limit", lambda: enumerate_integral(6, field, limit=order)),
+                  ("samples", lambda: cross_verify(8, field, samples=order))]
+    for name, call in calls:
+        with pytest.raises(DegenerateInput, match=f"^{name} {re.escape(repr(order))} is not an integer$"):
+            call()
 
 
 def test_bool_and_numpy_integer_orders_behave_as_ints():
@@ -103,6 +131,46 @@ def test_bool_and_numpy_integer_orders_behave_as_ints():
         assert orbit_partition(np.int64(36), cold) == orbit_partition(36, warm)
         assert is_integral(wide, cold) == is_integral(CirculantSpec(36, (1, 5, 7, 11)), warm)
         assert oracle_is_integral(wide, cold) == oracle_is_integral(CirculantSpec(36, (1, 5, 7, 11)), warm)
+
+
+def test_numpy_integers_give_the_int_results_at_every_entry_point():
+    # each used to raise a bare TypeError (pow with a numpy modulus), an AttributeError (bit_length on a numpy
+    # limit) or to return numpy values; each case runs cold, numpy first, and holds only built-in ints
+    np = pytest.importorskip("numpy")
+
+    def held(x):  # the integers a value holds, flat
+        if isinstance(x, UnitSubgroup):
+            return (x.modulus, *x.elements)
+        if isinstance(x, CyclotomicInteger):
+            return (x.order, *x.coefficients)
+        return (x.conductor, *held(x.fixing_subgroup))  # an AbelianField
+
+    cases = [
+        lambda k: (euler_phi(k(12)),),
+        lambda k: proper_divisors(k(12)),
+        lambda k: held(subgroup_closure(k(8), [3])),
+        lambda k: held(galois_subgroup_mod(field_gaussian(), k(12))),
+        lambda k: held(field_cyclotomic(k(5))),
+        lambda k: held(field_quadratic(k(5))),
+        lambda k: cyclotomic_polynomial(k(12)),
+        lambda k: held(CyclotomicInteger(k(3), (1, 0, 0))),
+        lambda k: held(UnitSubgroup(k(8), (1, 3, 5, 7))),
+        lambda k: held(eigenvalue(k(8), (1, 3), 1)),
+        lambda k: (orbit_partition(k(12), field_gaussian()).order, r_count(k(12), field_gaussian()),
+                   count_integral(k(12), field_gaussian())),
+        lambda k: (cross_verify(k(6), field_gaussian()).n, cross_verify(k(6), field_gaussian()).cases_checked),
+        lambda k: (lattice_cross_verify(k(6), field_rationals()).n,),
+        lambda k: (lemma1_check(k(6), field_gaussian()).n, lemma1_check(k(6), field_gaussian()).cases_checked),
+        lambda k: (cross_verify(8, field_rationals(), samples=k(2)).cases_checked,),
+        lambda k: tuple(chain.from_iterable(
+            s.connection_set for s in enumerate_integral(6, field_rationals(), limit=k(3)))),
+    ]
+    for i, case in enumerate(cases):
+        for memo in (_partition_cached, _divisor_gathers, _cyclotomic, _coset_plan):
+            memo.cache_clear()
+        got, want = case(np.int64), case(int)
+        assert got == want and all(type(x) is int for x in got), i
+    assert euler_phi(True) == 1 and type(euler_phi(True)) is int
 
 
 def loop_validated(order, connection_set):
