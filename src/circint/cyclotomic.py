@@ -16,7 +16,7 @@ from math import prod
 from operator import sub
 
 from . import limits
-from .errors import DegenerateOrder, OrderMismatch, OutOfRange
+from .errors import DegenerateOrder, InvalidSet, OrderMismatch, OutOfRange
 from .records import Record
 from .residues import _prime_factors
 
@@ -138,11 +138,13 @@ def _coset_plan(n: int) -> tuple[tuple[int, ...], ...]:
 def eigenvalue(n: int, connection_set, r: int) -> CyclotomicInteger:
     """Adjacency eigenvalue of the circulant digraph D(n, S) at frequency
     r: the sum of zeta_n^{r*s} over s in the connection set."""
-    n = limits.integer(n, "order")
+    n, r = limits.integer(n, "order"), limits.integer(r, "frequency")
     if not 0 <= r < n:
         raise OutOfRange(f"frequency {r} outside [0, {n})")
     out = [0] * n
     for s in connection_set:
+        if not hasattr(type(s), "__index__"):  # what index() takes, as CirculantSpec tests
+            raise InvalidSet(f"connection element {s!r} is not an integer")
         if not 1 <= s < n:
             raise OutOfRange(f"connection element {s} outside [1, {n})")
         out[r * s % n] += 1

@@ -27,9 +27,10 @@ class AbelianField(Record):
     _defaults = {"label": None}
 
     def __post_init__(self):
-        if self.fixing_subgroup.modulus != self.conductor:
+        m = self.__dict__["conductor"] = limits.integer(self.conductor, "conductor")  # a numpy conductor becomes an int
+        if self.fixing_subgroup.modulus != m:
             raise ValueError("fixing subgroup modulus differs from conductor")
-        if euler_phi(self.conductor) % len(self.fixing_subgroup):
+        if euler_phi(m) % len(self.fixing_subgroup):
             raise ValueError("subgroup order does not divide phi(conductor)")
 
     def __eq__(self, other):  # the label is a display name, not part of the value

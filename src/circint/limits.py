@@ -56,7 +56,8 @@ def check_modulus(n: int) -> None:
 
 def check_exhaustive(n: int) -> None:
     if n > EXHAUSTIVE_BOUND:
-        raise LimitExceeded(f"exhaustive sweep needs n <= {EXHAUSTIVE_BOUND}, got {n}")
+        raise LimitExceeded(f"exhaustive sweep needs n <= {EXHAUSTIVE_BOUND}, got {n}; "
+                            "no environment variable raises it")
 
 
 def check_order(n: int) -> None:

@@ -10,7 +10,7 @@ the units mod g and merges the runs of a class. A connection set yields a
 digraph integral over K exactly when it is a union of whole blocks, which
 is what downstream modules consume. Validation computes no gcd: divisibility
 by the labels, with the label, size, count and coverage checks, forces them.
-The build validates its own lists, then packs them.
+The build validates its own lists, one per block, then packs them.
 
 A partition is stored flat: every member, block after block, in one
 unsigned array, and one (divisor, block size, block count) triple per run
@@ -57,15 +57,8 @@ class OrbitPartition(Record):
         """Hold the (divisor, members) blocks as given, even unsorted,
         repeated or empty ones; validate() judges them. Members are held
         unsigned in 32 bits: one outside [0, 2^32) raises ValueError here."""
-        blocks = [(p, list(ms)) for p, ms in blocks]
-        runs = tuple((p, h, len(list(grp))) for (p, h), grp in groupby((p, len(ms)) for p, ms in blocks))
-        members = array("I")
-        for p, ms in blocks:
-            try:
-                members.fromlist(ms)
-            except OverflowError:
-                raise ValueError(f"a block over divisor {p} leaves [1, {order})") from None
-        return cls(order, field, members, runs)
+        pairs = ((p, list(ms)) for p, ms in blocks)
+        return _pack(order, field, [(p, [ms for _, ms in grp]) for p, grp in groupby(pairs, itemgetter(0))])
 
     @property
     def block_count(self) -> int:
@@ -184,51 +177,44 @@ class OrbitPartition(Record):
         phi(n/q) residues of gcd q, the multiples of p left to the blocks
         over p have gcd p, and they hold phi(g) = phi(n/p) of them: all.
         """
-        groups, start = [], 0
-        for p, grp in groupby(self.runs, itemgetter(0)):
-            sizes = [(h, k) for _, h, k in grp]
-            stop = start + sum(h * k for h, k in sizes)
-            groups.append((p, sizes, self.members[start:stop].tolist()))
-            start = stop
-        _check(self.order, self.field, groups)
+        _check(self.order, self.field,
+               [(p, [ms.tolist() for _, ms in grp]) for p, grp in groupby(self.slices(), itemgetter(0))])
 
 
 def _check(n: int, field: AbelianField, groups) -> None:
-    """The checks of OrbitPartition.validate, on one (p, [(block size,
-    block count), ...], members) per run of blocks over a divisor p, in
-    stored order, with members a list: the build's own, before packing."""
-    labels = [p for p, _, _ in groups]
+    """The checks of OrbitPartition.validate, on one (p, blocks) per run of
+    blocks over a divisor p, in stored order, each block a list: the
+    build's own, before packing, or the stored blocks that validate() lists."""
+    labels = [p for p, _ in groups]
     if len(set(labels)) < len(labels):
         raise ValueError("blocks out of canonical order")
     if tuple(labels) != _proper_divisors(n):
         raise ValueError(f"block labels are not the proper divisors of {n}, ascending")
     seen = set()
-    for p, sizes, flat in groups:
+    for p, blocks in groups:
         d, reduced, count = _fixing_mod(field, n // p)
         h = _euler_phi(n // p) // count
-        if {size for size, _ in sizes} != {h}:
+        if set(map(len, blocks)) != {h}:
             raise ValueError(f"blocks over divisor {p} are not all of size {h}")
-        if sum(k for _, k in sizes) != count:
+        if len(blocks) != count:
             raise ValueError(f"wrong number of blocks over divisor {p}")
         if h > 1:  # a single member is ascending and in its own class
             pd = p * d
-            for start in range(0, len(flat), h):
-                # one block over p, the common case for small conductors: no copy
-                ms = flat if h == len(flat) else flat[start:start + h]
+            for ms in blocks:
                 if ms != sorted(ms):
                     raise ValueError(f"block of {ms[0]} over divisor {p} is not ascending")
                 if d > 1 and not set(map(mod, ms, repeat(pd))) <= {a * ms[0] % pd for a in reduced}:
                     raise ValueError(f"block of {ms[0]} over divisor {p} is not one Galois orbit")
-        firsts = flat[::h]
+        firsts = [ms[0] for ms in blocks]
         if not all(map(lt, firsts, firsts[1:])):
             raise ValueError("blocks out of canonical order")
-        if firsts[0] < 1 or max(flat[h - 1::h]) >= n:
+        if firsts[0] < 1 or max(map(itemgetter(-1), blocks)) >= n:
             raise ValueError(f"a block over divisor {p} leaves [1, {n})")
         # a block that passed the orbit test is its first member times units mod p*d, so its
-        # first member decides divisibility by p
-        if p > 1 and any(map(mod, firsts if d > 1 else flat, repeat(p))):
+        # first member decides divisibility by p; d = 1 leaves one block
+        if p > 1 and any(map(mod, firsts if d > 1 else blocks[0], repeat(p))):
             raise ValueError(f"a block over divisor {p} has a member that is not a multiple of {p}")
-        seen.update(flat)
+        seen.update(chain.from_iterable(blocks))
     if len(seen) != n - 1:
         raise ValueError("blocks overlap or do not cover 1..n-1")
 
@@ -253,14 +239,24 @@ def _partition_cached(n: int, field: AbelianField) -> OrbitPartition:
         classes = _classes(d, p, reduced, unit if d == g else _coprime_flags(d, primes))
         if d < g:
             classes = sorted(_class_members(n, p, d, unit, cls) for cls in classes)
-        sizes = [(h, len(list(grp))) for h, grp in groupby(map(len, classes))]
-        # one class over p, as over Q, needs no copy
-        groups.append((p, sizes, classes[0] if len(classes) == 1 else list(chain.from_iterable(classes))))
+        groups.append((p, classes))
     _check(n, field, groups)
+    return _pack(n, field, groups)
+
+
+def _pack(n: int, field: AbelianField, groups) -> OrbitPartition:
+    """The OrbitPartition of groups, one (p, blocks) per run of blocks over
+    a divisor p, each block a list: one (p, block size, block count) run
+    per run of like blocks. A member outside [0, 2^32) raises ValueError."""
     members = array("I")
-    for _, _, flat in groups:
-        members.fromlist(flat)
-    return OrbitPartition(n, field, members, tuple((p, h, k) for p, sizes, _ in groups for h, k in sizes))
+    for p, blocks in groups:
+        try:
+            for ms in blocks:
+                members.fromlist(ms)
+        except OverflowError:
+            raise ValueError(f"a block over divisor {p} leaves [1, {n})") from None
+    runs = tuple((p, h, len(list(grp))) for p, blocks in groups for h, grp in groupby(map(len, blocks)))
+    return OrbitPartition(n, field, members, runs)
 
 
 def _class_members(n: int, p: int, d: int, unit: bytearray, cls) -> list[int]:

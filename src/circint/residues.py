@@ -30,6 +30,8 @@ class UnitSubgroup(Record):
         if g < 1:
             raise DegenerateOrder(f"modulus must be positive, got {g}")
         els = self.elements
+        if not all(type(e) is int for e in els):  # a numpy element becomes an int
+            els = self.__dict__["elements"] = tuple(limits.integer(e, "subgroup element") for e in els)
         if not els or list(els) != sorted(set(els)):
             raise ValueError("elements must be strictly increasing")
         if els[0] < 1 % g or els[-1] >= g:
@@ -90,7 +92,7 @@ def subgroup_closure(n: int, generators) -> UnitSubgroup:
     n = limits.checked(n, 1, "modulus")
     gens = []
     for gen in generators:
-        r = gen % n
+        r = limits.integer(gen, "generator") % n
         if gcd(r, n) != 1:
             raise NotAUnit(f"generator {gen} shares a factor with {n}")
         gens.append(r)

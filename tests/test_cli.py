@@ -329,6 +329,12 @@ def test_verify_checks_the_whole_range_before_the_first_report(capsys, monkeypat
     assert code == 3 and out == "" and message in err
 
 
+def test_exhaustive_bound_says_that_no_environment_variable_raises_it(capsys):
+    code, out, err = run_cli(capsys, "verify", "15", "--field", "Q", "--exhaustive")
+    assert code == 3 and out == ""
+    assert "exhaustive sweep needs n <= 14, got 15; no environment variable raises it" in err
+
+
 def test_exact_order_limit_says_what_it_bounds(capsys, monkeypatch):
     monkeypatch.setenv("CIRC_LIMIT_MODULUS", "200000")  # the variable that raises the modulus bound does not help
     code, out, err = run_cli(capsys, "spectrum", "10001", "--set", "1", "--exact")

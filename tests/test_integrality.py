@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circint import (
+    AbelianField,
     CirculantSpec,
     CyclotomicInteger,
     DegenerateInput,
@@ -172,6 +173,27 @@ def test_numpy_integers_give_the_int_results_at_every_entry_point():
         assert got == want and all(type(x) is int for x in got), i
     assert euler_phi(True) == 1 and type(euler_phi(True)) is int
 
+
+
+# (argument name, call with x in its place, an int that x may be, the error a non-integer x raises)
+ARGUMENT_CALLS = [
+    ("generator", lambda x: subgroup_closure(8, [x]).elements, 3, DegenerateInput),
+    ("subgroup element", lambda x: UnitSubgroup(8, (1, 3, 5, x)).elements, 7, DegenerateInput),
+    ("frequency", lambda x: eigenvalue(8, (1, 3), x).coefficients, 2, DegenerateInput),
+    ("connection element", lambda x: eigenvalue(8, (1, x), 2).coefficients, 3, InvalidSet),
+    ("conductor", lambda x: (AbelianField(x, UnitSubgroup(4, (1,))).conductor,), 4, DegenerateInput),
+]
+
+
+@pytest.mark.parametrize("name, call, value, error", ARGUMENT_CALLS, ids=[c[0] for c in ARGUMENT_CALLS])
+def test_generators_elements_frequency_and_conductor_take_only_integers(name, call, value, error):
+    # each used to keep a numpy value or raise a bare TypeError from pow, gcd, % or a list index
+    np = pytest.importorskip("numpy")
+    got, want = call(np.int64(value)), call(value)
+    assert got == want and all(type(x) is int for x in got)
+    for bad in (2.5, "3", None):
+        with pytest.raises(error, match=re.escape(f"{name} {bad!r} is not an integer")):
+            call(bad)
 
 def loop_validated(order, connection_set):
     """Reference: CirculantSpec's set validation as a loop over every

@@ -477,6 +477,17 @@ def test_validate_rejects_blocks_that_are_not_orbits():
     past_n = OrbitPartition.from_blocks(6, field_rationals(), [(1, (1, 5)), (2, (2, 6)), (3, (3,))])
     with pytest.raises(ValueError, match=r"leaves \[1, 6\)"):
         past_n.validate()
+    # irregular shapes keep one run per run of like blocks, and validate() groups them by divisor
+    empty = with_blocks(good, blocks[:1] + [(1, ())] + blocks[1:])
+    mixed = with_blocks(good, [(1, blocks[0][1][:3]), (1, blocks[0][1][3:] + blocks[1][1])] + blocks[2:])
+    returning = with_blocks(good, blocks[:1] + blocks[2:] + blocks[1:2])
+    assert empty.runs[:3] == ((1, 4, 1), (1, 0, 1), (1, 4, 1)) and mixed.runs[:2] == ((1, 3, 1), (1, 5, 1))
+    assert returning.runs[0] == returning.runs[-1] == (1, 4, 1)
+    for bad, message in [(empty, "blocks over divisor 1 are not all of size 4"),
+                         (mixed, "blocks over divisor 1 are not all of size 4"),
+                         (returning, "blocks out of canonical order")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bad.validate()
 
 
 @pytest.mark.parametrize("member", [-1, 2**32])
